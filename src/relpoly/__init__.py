@@ -60,7 +60,6 @@ from .graph import (
     is_connected,
     load_edge_list,
     path_graph,
-    pgf_eval,
     save_edge_list,
     star_graph,
     star_pendant_graph,

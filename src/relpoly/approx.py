@@ -13,43 +13,46 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .curve import Curve
+from .curve import Curve, _check_probability
 from .errors import ConnectivityWarning
 from .graph import Graph, degree_distribution
 
 
-def _warn_if_disconnected(graph: Graph, what: str):
+def _stochastic_curve(graph: Graph, grid, kind: str, label=None) -> Curve:
+    """(1 - phi_D(1-p))^(N p) for kind "node", (1 - phi_D(1-p))^N for "link",
+    on a grid; the degree distribution is built once for the whole grid."""
+    grid = tuple(grid)
+    for p in grid:
+        _check_probability(p)
     if not graph.is_connected():
         warnings.warn(
-            f"{what} applied to a disconnected graph; the no-isolated-node "
-            "surrogate for connectivity is unreliable there",
+            f"stochastic {kind} reliability applied to a disconnected graph; the "
+            "no-isolated-node surrogate for connectivity is unreliable there",
             ConnectivityWarning,
-            stacklevel=3,
+            stacklevel=3,  # the caller of the public function
         )
+    n = graph.num_nodes
+    pgf = None  # built on first use: p = 0 alone needs none, even on an empty graph
+    values = []
+    for p in grid:
+        if kind == "node" and p == 0.0:
+            values.append(1.0)  # exponent N*p vanishes; the formula is vacuous at p = 0
+            continue
+        pgf = pgf or degree_distribution(graph).pgf
+        phi = pgf(1.0 - p)
+        exponent = n * p if kind == "node" else n
+        values.append(0.0 if phi >= 1.0 else math.exp(exponent * math.log1p(-phi)))
+    return Curve(grid, tuple(values), {"method": "stochastic", "kind": kind, "graph": label})
 
 
 def stochastic_node_reliability(graph: Graph, p: float) -> float:
     """(1 - phi_D(1-p))^(N p): chance the ~Np survivors have no isolated node."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    _warn_if_disconnected(graph, "stochastic node reliability")
-    if p == 0.0:
-        return 1.0  # exponent N*p vanishes; the formula is vacuous at p = 0
-    phi = degree_distribution(graph).pgf(1.0 - p)
-    if phi >= 1.0:
-        return 0.0
-    return math.exp(graph.num_nodes * p * math.log1p(-phi))
+    return _stochastic_curve(graph, (p,), "node").values[0]
 
 
 def stochastic_link_reliability(graph: Graph, p: float) -> float:
     """(1 - phi_D(1-p))^N, the link-failure analogue (all nodes present)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    _warn_if_disconnected(graph, "stochastic link reliability")
-    phi = degree_distribution(graph).pgf(1.0 - p)
-    if phi >= 1.0:
-        return 0.0
-    return math.exp(graph.num_nodes * math.log1p(-phi))
+    return _stochastic_curve(graph, (p,), "link").values[0]
 
 
 def power_relation_gap(node_curve: Curve, link_curve: Curve) -> float:
@@ -58,8 +61,7 @@ def power_relation_gap(node_curve: Curve, link_curve: Curve) -> float:
     The node-variant curve tracks the link-variant curve raised to the
     power p on large dense graphs; this measures how closely.
     """
-    if node_curve.grid != link_curve.grid:
-        raise ValueError("curves are sampled on different grids")
+    node_curve._check_same_grid(link_curve)
     return max(
         abs(nv - lv**p)
         for p, nv, lv in zip(node_curve.grid, node_curve.values, link_curve.values)
@@ -71,8 +73,7 @@ def arithmetic_upper_bound(graph: Graph, p: float) -> float:
 
     Cost is one pgf evaluation, O(#distinct degrees).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     phi = degree_distribution(graph).pgf(1.0 - p)
     x = p * phi
     if x >= 1.0:
@@ -82,8 +83,7 @@ def arithmetic_upper_bound(graph: Graph, p: float) -> float:
 
 def geometric_upper_bound(graph: Graph, p: float) -> float:
     """prod_i (1 - p (1-p)^(d_i)), each node's own not-isolated probability."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     dist = degree_distribution(graph)
     q = 1.0 - p
     total = 0.0
@@ -147,8 +147,7 @@ def er_node_reliability(model: ErModel, p: float) -> float:
     Valid where the surviving mean degree N p p_l is at least of order
     log(N p); the expression tends to 1 rather than 0 as p -> 0.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     n = model.num_nodes
     return math.exp(-p * n * math.exp(-n * p * model.link_probability))
 
@@ -176,17 +175,12 @@ def er_intersection(m1: ErModel, m2: ErModel) -> ErIntersection:
     p_i = math.exp(log_p) if log_p < 700.0 else math.inf
     inside = 0.0 < p_i < 1.0
     value = math.exp(-p_i / m1.growth_scale(p_i)) if inside else math.nan
-    if inside:
-        note = ""
-    elif k2 > k1:
+    note = ""
+    if not inside:
+        needed, found = (">", "<=") if k2 > k1 else ("<", ">=")
         note = (
-            "no intersection in (0, 1): needs log N1 / log N2 > k1/k2, "
-            f"but {ln1:.6g}/{ln2:.6g} <= {k1:.6g}/{k2:.6g}"
-        )
-    else:
-        note = (
-            "no intersection in (0, 1): needs log N1 / log N2 < k1/k2, "
-            f"but {ln1:.6g}/{ln2:.6g} >= {k1:.6g}/{k2:.6g}"
+            f"no intersection in (0, 1): needs log N1 / log N2 {needed} k1/k2, "
+            f"but {ln1:.6g}/{ln2:.6g} {found} {k1:.6g}/{k2:.6g}"
         )
     return ErIntersection(p_i, value, inside, note)
 
@@ -209,8 +203,7 @@ def er_transition_width(model: ErModel, lo: float, hi: float) -> float:
 
 def rgg_node_reliability(model: RggModel, p: float) -> float:
     """(1 - (1 - pi r^2)^(N p - 1))^(N p) for the geometric ensemble."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     np_ = model.num_nodes * p
     if np_ < 1.0:
         raise ValueError("needs N p >= 1; fewer than one expected survivor")
@@ -230,10 +223,8 @@ def rgg_node_reliability(model: RggModel, p: float) -> float:
 
 
 def stochastic_node_curve(graph: Graph, grid, label=None) -> Curve:
-    values = tuple(stochastic_node_reliability(graph, p) for p in grid)
-    return Curve(tuple(grid), values, {"method": "stochastic", "kind": "node", "graph": label})
+    return _stochastic_curve(graph, grid, "node", label)
 
 
 def stochastic_link_curve(graph: Graph, grid, label=None) -> Curve:
-    values = tuple(stochastic_link_reliability(graph, p) for p in grid)
-    return Curve(tuple(grid), values, {"method": "stochastic", "kind": "link", "graph": label})
+    return _stochastic_curve(graph, grid, "link", label)

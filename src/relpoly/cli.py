@@ -19,29 +19,15 @@ from . import approx, cutset, exact, kgrip, montecarlo
 from .curve import Curve, probability_grid
 from .errors import CapacityError, EdgeListFormatError
 from .graph import (
+    FAMILIES,
     Graph,
-    complete_graph,
-    complete_pendant_graph,
-    cycle_graph,
     generate_ba,
     generate_er,
     generate_lattice,
     generate_rgg,
     load_edge_list,
-    path_graph,
     save_edge_list,
-    star_graph,
-    star_pendant_graph,
 )
-
-_FAMILY_BUILDERS = {
-    "complete": complete_graph,
-    "complete-pendant": complete_pendant_graph,
-    "cycle": cycle_graph,
-    "path": path_graph,
-    "star": star_graph,
-    "star-pendant": star_pendant_graph,
-}
 
 
 class UsageError(Exception):
@@ -50,17 +36,14 @@ class UsageError(Exception):
 
 def _parse_gen_spec(spec: str, seed: int) -> Graph:
     """Inline generator specs: er:N,PL  rgg:N,R  ba:N,M  lattice:D1xD2[xD3]."""
+    # name -> (generator, type of its second parameter)
+    pairs = {"er": (generate_er, float), "rgg": (generate_rgg, float), "ba": (generate_ba, int)}
     try:
         name, _, args = spec.partition(":")
-        if name == "er":
-            n_s, p_s = args.split(",")
-            return generate_er(int(n_s), float(p_s), seed)
-        if name == "rgg":
-            n_s, r_s = args.split(",")
-            return generate_rgg(int(n_s), float(r_s), seed)
-        if name == "ba":
-            n_s, m_s = args.split(",")
-            return generate_ba(int(n_s), int(m_s), seed)
+        if name in pairs:
+            generate, second = pairs[name]
+            n_s, x_s = args.split(",")
+            return generate(int(n_s), second(x_s), seed)
         if name == "lattice":
             dims = [int(d) for d in args.split("x")]
             return generate_lattice(dims)
@@ -81,9 +64,7 @@ def _load_graph(args) -> tuple:
         return _parse_gen_spec(args.gen, getattr(args, "gen_seed", 0)), args.gen
     if args.n is None:
         raise UsageError("--family requires --n")
-    builder = _FAMILY_BUILDERS.get(args.family)
-    if builder is None:
-        raise UsageError(f"unknown family {args.family!r}")
+    builder, _ = FAMILIES[args.family]
     return builder(args.n), f"{args.family}:{args.n}"
 
 
@@ -114,12 +95,31 @@ def _emit_curve(curve: Curve, args, label):
     out = Curve(curve.grid, curve.values, meta)
     _write(args.out, out.to_csv())
     if args.out:
-        with open(args.out + ".meta.json", "w", encoding="utf-8", newline="") as fh:
-            fh.write(out.metadata_json())
+        _write(args.out + ".meta.json", out.metadata_json())
 
 
 def _workers(args):
-    return montecarlo.resolve_workers(getattr(args, "workers", None) or os.cpu_count())
+    if args.workers is not None and args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    try:
+        return montecarlo.resolve_workers(args.workers or os.cpu_count())
+    except ValueError as err:  # RELPOLY_THREADS is not a positive integer
+        raise UsageError(str(err)) from None
+
+
+# Library functions are picked from tables built when a command runs, so a
+# patched module attribute (a test double, a tracer) reaches the CLI.
+def _coefficients(args, graph, kind):
+    by_kind = {"node": exact.enumerate_node_coefficients, "link": exact.enumerate_link_coefficients}
+    return by_kind[kind](graph, cap=args.cap)
+
+
+def _estimate(args, graph, kind):
+    by_kind = {
+        "node": montecarlo.estimate_node_cut_fractions,
+        "link": montecarlo.estimate_link_cut_fractions,
+    }
+    return by_kind[kind](graph, args.runs, args.seed, _workers(args))
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +135,9 @@ def _cmd_generate(args):
 def _cmd_exact(args):
     graph, label = _load_graph(args)
     grid = _grid_from(args)
-    if args.kind == "node":
-        coeffs = exact.enumerate_node_coefficients(graph, cap=args.cap)
-        values = tuple(exact.node_reliability_s_form(coeffs, p) for p in grid)
-    else:
-        coeffs = exact.enumerate_link_coefficients(graph, cap=args.cap)
-        values = tuple(exact.link_reliability(coeffs, p) for p in grid)
+    coeffs = _coefficients(args, graph, args.kind)
+    by_kind = {"node": exact.node_reliability_s_form, "link": exact.link_reliability}
+    values = tuple(by_kind[args.kind](coeffs, p) for p in grid)
     if args.coeffs_out:
         _write(args.coeffs_out, coeffs.to_json())
     curve = Curve(grid, values, {"method": "exact", "kind": args.kind})
@@ -159,13 +156,9 @@ def _cmd_closed_form(args):
 def _cmd_mc(args):
     graph, label = _load_graph(args)
     grid = _grid_from(args)
-    if args.kind == "node":
-        est = montecarlo.estimate_node_cut_fractions(graph, args.runs, args.seed, _workers(args))
-        curve = montecarlo.node_reliability_curve(est, grid)
-    else:
-        est = montecarlo.estimate_link_cut_fractions(graph, args.runs, args.seed, _workers(args))
-        curve = montecarlo.link_reliability_curve(est, grid)
-    _emit_curve(curve, args, label)
+    est = _estimate(args, graph, args.kind)
+    by_kind = {"node": montecarlo.node_reliability_curve, "link": montecarlo.link_reliability_curve}
+    _emit_curve(by_kind[args.kind](est, grid), args, label)
     return 0
 
 
@@ -173,95 +166,99 @@ def _cmd_laplace(args):
     graph, label = _load_graph(args)
     grid = _grid_from(args)
     if args.source == "exact":
-        source = exact.enumerate_node_coefficients(graph, cap=args.cap)
+        source = _coefficients(args, graph, "node")
     else:
-        source = montecarlo.estimate_node_cut_fractions(graph, args.runs, args.seed, _workers(args))
+        source = _estimate(args, graph, "node")
     curve = montecarlo.laplace_curve(source, grid, basis=args.basis)
     _emit_curve(curve, args, label)
     return 0
 
 
+def _approx_stochastic(args):
+    graph, label = _load_graph(args)
+    grid = _grid_from(args)
+    by_kind = {"node": approx.stochastic_node_curve, "link": approx.stochastic_link_curve}
+    _emit_curve(by_kind[args.kind](graph, grid, label), args, label)
+
+
+def _approx_bounds(args):
+    graph, label = _load_graph(args)
+    grid = _grid_from(args)
+    bounds = {"arith": approx.arithmetic_upper_bound, "geom": approx.geometric_upper_bound}
+    values = tuple(bounds[args.bound](graph, p) for p in grid)
+    curve = Curve(grid, values, {"method": f"bound-{args.bound}", "kind": "node"})
+    _emit_curve(curve, args, label)
+
+
+def _approx_er(args):
+    if args.n is None or args.pl is None:
+        raise UsageError("approx er needs --n and --pl")
+    model = approx.ErModel(args.n, args.pl)
+    grid = _grid_from(args)
+    values = tuple(approx.er_node_reliability(model, p) for p in grid)
+    curve = Curve(grid, values, {"method": "er-formula", "kind": "node"})
+    _emit_curve(curve, args, f"er:{args.n},{args.pl}")
+
+
+def _approx_rgg(args):
+    if args.n is None or args.r is None:
+        raise UsageError("approx rgg needs --n and --r")
+    model = approx.RggModel(args.n, args.r)
+    grid = _grid_from(args)
+    # the formula needs at least one expected survivor; skip grid points below that
+    kept = tuple(p for p in grid if args.n * p >= 1.0)
+    if len(kept) < len(grid):
+        print(
+            f"note: dropped {len(grid) - len(kept)} grid points with N*p < 1",
+            file=sys.stderr,
+        )
+    if len(kept) < 2:
+        raise ValueError("grid has fewer than two points with N*p >= 1")
+    values = tuple(approx.rgg_node_reliability(model, p) for p in kept)
+    curve = Curve(kept, values, {"method": "rgg-formula", "kind": "node"})
+    _emit_curve(curve, args, f"rgg:{args.n},{args.r}")
+
+
+def _approx_er_intersection(args):
+    if None in (args.n, args.pl, args.n2, args.pl2):
+        raise UsageError("approx er-intersection needs --n, --pl, --n2, and --pl2")
+    res = approx.er_intersection(approx.ErModel(args.n, args.pl), approx.ErModel(args.n2, args.pl2))
+    payload = {"p": res.p, "value": res.value, "inside": res.inside}
+    if res.note:
+        payload["note"] = res.note
+    _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _approx_er_width(args):
+    if args.n is None or args.pl is None:
+        raise UsageError("approx er-width needs --n and --pl")
+    width = approx.er_transition_width(approx.ErModel(args.n, args.pl), args.lo, args.hi)
+    _write(args.out, json.dumps({"width": width}, sort_keys=True) + "\n")
+
+
+_APPROX_METHODS = {
+    "stochastic": _approx_stochastic,
+    "bounds": _approx_bounds,
+    "er": _approx_er,
+    "rgg": _approx_rgg,
+    "er-intersection": _approx_er_intersection,
+    "er-width": _approx_er_width,
+}
+
+
 def _cmd_approx(args):
-    if args.method == "stochastic":
-        graph, label = _load_graph(args)
-        grid = _grid_from(args)
-        if args.kind == "node":
-            curve = approx.stochastic_node_curve(graph, grid, label)
-        else:
-            curve = approx.stochastic_link_curve(graph, grid, label)
-        _emit_curve(curve, args, label)
-        return 0
-    if args.method == "bounds":
-        graph, label = _load_graph(args)
-        grid = _grid_from(args)
-        fn = approx.arithmetic_upper_bound if args.bound == "arith" else approx.geometric_upper_bound
-        values = tuple(fn(graph, p) for p in grid)
-        curve = Curve(grid, values, {"method": f"bound-{args.bound}", "kind": "node"})
-        _emit_curve(curve, args, label)
-        return 0
-    if args.method == "er":
-        if args.n is None or args.pl is None:
-            raise UsageError("approx er needs --n and --pl")
-        model = approx.ErModel(args.n, args.pl)
-        grid = _grid_from(args)
-        values = tuple(approx.er_node_reliability(model, p) for p in grid)
-        curve = Curve(grid, values, {"method": "er-formula", "kind": "node"})
-        _emit_curve(curve, args, f"er:{args.n},{args.pl}")
-        return 0
-    if args.method == "rgg":
-        if args.n is None or args.r is None:
-            raise UsageError("approx rgg needs --n and --r")
-        model = approx.RggModel(args.n, args.r)
-        grid = _grid_from(args)
-        # the formula needs at least one expected survivor; skip grid points below that
-        kept = tuple(p for p in grid if args.n * p >= 1.0)
-        if len(kept) < len(grid):
-            print(
-                f"note: dropped {len(grid) - len(kept)} grid points with N*p < 1",
-                file=sys.stderr,
-            )
-        if len(kept) < 2:
-            raise ValueError("grid has fewer than two points with N*p >= 1")
-        values = tuple(approx.rgg_node_reliability(model, p) for p in kept)
-        curve = Curve(kept, values, {"method": "rgg-formula", "kind": "node"})
-        _emit_curve(curve, args, f"rgg:{args.n},{args.r}")
-        return 0
-    if args.method == "er-intersection":
-        if None in (args.n, args.pl, args.n2, args.pl2):
-            raise UsageError("approx er-intersection needs --n, --pl, --n2, and --pl2")
-        res = approx.er_intersection(approx.ErModel(args.n, args.pl), approx.ErModel(args.n2, args.pl2))
-        payload = {"p": res.p, "value": res.value, "inside": res.inside}
-        if res.note:
-            payload["note"] = res.note
-        _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
-        return 0
-    if args.method == "er-width":
-        if args.n is None or args.pl is None:
-            raise UsageError("approx er-width needs --n and --pl")
-        width = approx.er_transition_width(approx.ErModel(args.n, args.pl), args.lo, args.hi)
-        _write(args.out, json.dumps({"width": width}, sort_keys=True) + "\n")
-        return 0
-    raise UsageError(f"unknown approx method {args.method!r}")
+    _APPROX_METHODS[args.method](args)
+    return 0
 
 
 def _cmd_cutsets(args):
     graph, label = _load_graph(args)
-    if args.kind == "node":
-        dim = graph.num_nodes
-        if args.source == "exact":
-            coeffs = exact.enumerate_node_coefficients(graph, cap=args.cap)
-            source = cutset.exact_node_curve_source(coeffs)
-        else:
-            est = montecarlo.estimate_node_cut_fractions(graph, args.runs, args.seed, _workers(args))
-            source = cutset.estimate_curve_source(est)
+    dim = graph.num_nodes if args.kind == "node" else graph.num_links
+    if args.source == "exact":
+        by_kind = {"node": cutset.exact_node_curve_source, "link": cutset.exact_link_curve_source}
+        source = by_kind[args.kind](_coefficients(args, graph, args.kind))
     else:
-        dim = graph.num_links
-        if args.source == "exact":
-            coeffs = exact.enumerate_link_coefficients(graph, cap=args.cap)
-            source = cutset.exact_link_curve_source(coeffs)
-        else:
-            est = montecarlo.estimate_link_cut_fractions(graph, args.runs, args.seed, _workers(args))
-            source = cutset.estimate_curve_source(est)
+        source = cutset.estimate_curve_source(_estimate(args, graph, args.kind))
     probes = None
     if args.probes:
         probes = [Fraction(tok) if "/" in tok else float(tok) for tok in args.probes.split(",")]
@@ -287,8 +284,7 @@ def _cmd_kgrip(args):
     payload["objective_after"] = after
     _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
     if args.graph_out:
-        with open(args.graph_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(save_edge_list(new_graph))
+        _write(args.graph_out, save_edge_list(new_graph))
     return 0
 
 
@@ -305,18 +301,16 @@ def _cmd_compare(args):
             raise ValueError(f"grid mismatch between {args.files[0]} and {path}")
     if args.power is not None:
         if args.power == "p":
-            exponents = None  # grid coordinate
+            power = None  # grid coordinate
         else:
             try:
-                exponents = float(args.power)
+                power = float(args.power)
             except ValueError:
                 raise UsageError('--power takes a number or the letter "p"') from None
         transformed = [curves[0]]
         for path, c in curves[1:]:
-            if exponents is None:
-                vals = tuple(v**g for v, g in zip(c.values, c.grid))
-            else:
-                vals = tuple(v**exponents for v in c.values)
+            exponents = c.grid if power is None else [power] * len(c.grid)
+            vals = tuple(v**g for v, g in zip(c.values, exponents))
             transformed.append((path, Curve(c.grid, vals)))
         curves = transformed
     lines = ["a,b,sup_gap,mean_abs_gap"]
@@ -335,13 +329,12 @@ def _cmd_compare(args):
 # parser
 
 
-def _add_graph_source(sub, family_needs_n=True):
+def _add_graph_source(sub):
     sub.add_argument("--input", help="edge-list file to load")
     sub.add_argument("--gen", help="generator spec: er:N,PL | rgg:N,R | ba:N,M | lattice:D1xD2[xD3]")
     sub.add_argument("--gen-seed", type=int, default=0, help="seed for --gen (default 0)")
-    sub.add_argument("--family", choices=sorted(_FAMILY_BUILDERS), help="named graph family")
-    if family_needs_n:
-        sub.add_argument("--n", type=int, help="size for --family (and the model size for approx er/rgg)")
+    sub.add_argument("--family", choices=sorted(FAMILIES), help="named graph family")
+    sub.add_argument("--n", type=int, help="size for --family (and the model size for approx er/rgg)")
 
 
 def _add_grid(sub):
@@ -372,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_exact)
 
     s = subs.add_parser("closed-form", help="evaluate a family's closed-form curve")
-    s.add_argument("--family", choices=sorted(_FAMILY_BUILDERS), required=True)
+    s.add_argument("--family", choices=sorted(FAMILIES), required=True)
     s.add_argument("--n", type=int, required=True)
     _add_grid(s)
     s.add_argument("--out")
@@ -403,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("approx", help="degree-based approximations and ensemble formulas")
     s.add_argument(
         "method",
-        choices=("stochastic", "bounds", "er", "rgg", "er-intersection", "er-width"),
+        choices=tuple(_APPROX_METHODS),
     )
     _add_graph_source(s)
     _add_grid(s)

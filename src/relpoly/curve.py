@@ -6,6 +6,11 @@ import json
 from dataclasses import dataclass, field
 
 
+def _check_probability(p) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+
+
 def probability_grid(count: int = 101) -> tuple:
     """`count` equispaced probabilities covering [0, 1] inclusive."""
     if count < 2:

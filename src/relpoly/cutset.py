@@ -12,21 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
 
 from .errors import CapacityError
-from .exact import (
-    ReliabilityCoefficients,
-    _clamp01,
-    bernstein_mixture,
-    link_curve_value_exact,
-    link_reliability,
-    node_curve_value_exact,
-    node_reliability_s_form,
-)
+from .exact import ReliabilityCoefficients, _reliability
+from .montecarlo import _estimate_curve
 
 DEFAULT_DIMENSION_CAP = 30
 
@@ -135,14 +128,11 @@ def _solve_exact(system: ProbeSystem):
 def _solve_mpmath(system: ProbeSystem):
     n = system.dimension
     # floats convert to mpf exactly; precision grows with the dimension to
-    # outrun the Vandermonde-style conditioning
+    # outrun the Vandermonde-style conditioning, and the rows are built in
+    # mpf at that precision
     with mp.workdps(max(50, 20 + 4 * n)):
-        probes = [mp.mpf(float(p)) for p in system.probes]
-        rows = []
-        for p in probes:
-            q = 1 - p
-            rows.append([q**j * p ** (n - j) for j in range(n + 1)])
-        a = mp.matrix(rows)
+        probes = tuple(mp.mpf(float(p)) for p in system.probes)
+        a = mp.matrix(replace(system, probes=probes).matrix())
         b = mp.matrix([float(r) for r in system.rhs])
         x = mp.lu_solve(a, b)
         res = a * x - b
@@ -199,28 +189,24 @@ def recover_cut_counts(
 # curve sources
 
 
+def _exact_curve_source(coeffs: ReliabilityCoefficients, kind: str):
+    def source(p):
+        return _reliability(coeffs, kind, p, exact=isinstance(p, (Fraction, int)))
+
+    return source
+
+
 def exact_node_curve_source(coeffs: ReliabilityCoefficients):
     """Curve source backed by exact coefficients.
 
     Returns Fractions for Fraction/int probes (exact solving) and floats
     for float probes.
     """
-
-    def source(p):
-        if isinstance(p, (Fraction, int)):
-            return node_curve_value_exact(coeffs, p)
-        return node_reliability_s_form(coeffs, p)
-
-    return source
+    return _exact_curve_source(coeffs, "node")
 
 
 def exact_link_curve_source(coeffs: ReliabilityCoefficients):
-    def source(p):
-        if isinstance(p, (Fraction, int)):
-            return link_curve_value_exact(coeffs, p)
-        return link_reliability(coeffs, p)
-
-    return source
+    return _exact_curve_source(coeffs, "link")
 
 
 def estimate_curve_source(est):
@@ -230,18 +216,4 @@ def estimate_curve_source(est):
     1 - sum_j C(n,j) c_j p^(n-j) (1-p)^j over its own dimension, evaluated
     through the cancellation-free complement mixture.
     """
-    rev_survive = tuple(1.0 - c for c in est.fractions)[::-1]
-
-    def source(p):
-        return _clamp01(bernstein_mixture(rev_survive, float(p)))
-
-    return source
-
-
-def curve_function_source(curve):
-    """Adapt a sampled Curve into a probe source (grid points only)."""
-
-    def source(p):
-        return curve.value_at(float(p))
-
-    return source
+    return _estimate_curve(est)

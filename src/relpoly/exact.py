@@ -23,21 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .curve import _check_probability
 from .errors import CapacityError
-from .graph import Graph
+from .graph import FAMILIES, Graph
 
 DEFAULT_ENUMERATION_CAP = 24
-
-FAMILIES = ("complete", "complete-pendant", "cycle", "path", "star", "star-pendant")
-
-_FAMILY_MIN = {
-    "complete": 1,
-    "complete-pendant": 3,
-    "cycle": 3,
-    "path": 3,
-    "star": 3,
-    "star-pendant": 3,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -52,22 +42,6 @@ def _log_binomials(n: int):
     arr.setflags(write=False)
     return arr
 
-def binomial_weights(n: int, p: float) -> np.ndarray:
-    """Binomial pmf C(n,k) p^k (1-p)^(n-k) for k = 0..n, computed in log space."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    w = np.zeros(n + 1)
-    if p == 0.0:
-        w[0] = 1.0
-    elif p == 1.0:
-        w[n] = 1.0
-    else:
-        k = np.arange(n + 1)
-        logw = _log_binomials(n) + k * math.log(p) + (n - k) * math.log1p(-p)
-        w = np.exp(logw)
-    return w
-
-
 def bernstein_mixture(fractions, p: float) -> float:
     """sum_k f_k C(n,k) p^k (1-p)^(n-k) with n = len(fractions) - 1.
 
@@ -80,11 +54,20 @@ def bernstein_mixture(fractions, p: float) -> float:
         return float(fr[0])
     if p >= 1.0:
         return float(fr[n])
-    return float(np.dot(binomial_weights(n, p), fr))
+    _check_probability(p)  # only NaN is left to reject here
+    k = np.arange(n + 1)
+    logw = _log_binomials(n) + k * math.log(p) + (n - k) * math.log1p(-p)
+    return float(np.dot(np.exp(logw), fr))
 
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def _fractions(counts) -> tuple:
+    """counts[j] / C(n, j) for j = 0..n, with n = len(counts) - 1."""
+    n = len(counts) - 1
+    return tuple(c / math.comb(n, j) for j, c in enumerate(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -126,35 +109,25 @@ class ReliabilityCoefficients:
     @property
     def connected_fractions(self) -> tuple:
         """s_k = S_k / C(N,k), the chance a uniform k-subset induces a connected graph."""
-        n = self.num_nodes
-        return tuple(s / math.comb(n, k) for k, s in enumerate(self.connected_counts))
+        return _fractions(self.connected_counts)
 
     @property
     def cut_fractions(self) -> tuple:
         """c_j = C_j / C(N,j), the chance a uniform j-removal disconnects."""
-        n = self.num_nodes
-        return tuple(c / math.comb(n, j) for j, c in enumerate(self.cut_counts))
+        return _fractions(self.cut_counts)
 
     @property
     def kept_fractions(self) -> tuple:
-        l = self.num_links
-        return tuple(f / math.comb(l, j) for j, f in enumerate(self.kept_counts))
+        return _fractions(self.kept_counts)
 
     def to_json(self) -> str:
+        payload = {"N": self.num_nodes, "kind": self.kind}
         if self.kind == "node":
-            payload = {
-                "N": self.num_nodes,
-                "kind": "node",
-                "S": [str(x) for x in self.connected_counts],
-                "C": [str(x) for x in self.cut_counts],
-            }
+            payload["S"] = [str(x) for x in self.connected_counts]
+            payload["C"] = [str(x) for x in self.cut_counts]
         else:
-            payload = {
-                "N": self.num_nodes,
-                "kind": "link",
-                "L": self.num_links,
-                "F": [str(x) for x in self.kept_counts],
-            }
+            payload["L"] = self.num_links
+            payload["F"] = [str(x) for x in self.kept_counts]
         return json.dumps(payload, sort_keys=True) + "\n"
 
     @staticmethod
@@ -222,27 +195,19 @@ def enumerate_link_coefficients(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
     if l > cap:
         raise CapacityError(f"link enumeration visits 2^L subsets; L={l} exceeds the cap of {cap}")
     edges = graph.edges()
+    everyone = (1 << n) - 1
     f = [0] * (l + 1)
     for kept in range(1 << l):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = n
+        # neighbor masks of the graph keeping only the links in `kept`
+        nbr = [0] * n
         m = kept
         while m:
             b = m & -m
             u, v = edges[b.bit_length() - 1]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
             m ^= b
-        if comps == 1:
+        if _mask_connected(everyone, nbr):
             f[l - kept.bit_count()] += 1
     return ReliabilityCoefficients.link(n, l, f)
 
@@ -251,11 +216,27 @@ def enumerate_link_coefficients(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 # polynomial evaluation
 
 
+def _reliability(coeffs: ReliabilityCoefficients, kind: str, p, exact: bool = False):
+    """sum_k W_k p^k (1-p)^(n-k) over the counts W_k of connected configurations
+    with k working elements: S_k for nodes (n = N), F_(L-k) for links (n = L).
+
+    Floats go through the binomial-fraction form, clamped to [0, 1]; `exact`
+    sums in rational arithmetic (p may be a Fraction).
+    """
+    if coeffs.kind != kind:
+        raise ValueError(f"{kind}-kind coefficients required")
+    working = coeffs.connected_counts if kind == "node" else coeffs.kept_counts[::-1]
+    if not exact:
+        return _clamp01(bernstein_mixture(_fractions(working), p))
+    p = Fraction(p)
+    q = 1 - p
+    n = len(working) - 1
+    return sum(w * p**k * q ** (n - k) for k, w in enumerate(working) if w)
+
+
 def node_reliability_s_form(coeffs: ReliabilityCoefficients, p: float) -> float:
     """sum_k S_k p^k (1-p)^(N-k), evaluated through the binomial-fraction form."""
-    if coeffs.kind != "node":
-        raise ValueError("node-kind coefficients required")
-    return _clamp01(bernstein_mixture(coeffs.connected_fractions, p))
+    return _reliability(coeffs, "node", p)
 
 
 def node_reliability_c_form(coeffs: ReliabilityCoefficients, p: float) -> float:
@@ -268,31 +249,16 @@ def node_reliability_c_form(coeffs: ReliabilityCoefficients, p: float) -> float:
 
 def link_reliability(coeffs: ReliabilityCoefficients, p: float) -> float:
     """sum_j F_j (1-p)^j p^(L-j) for the link variant."""
-    if coeffs.kind != "link":
-        raise ValueError("link-kind coefficients required")
-    rev = coeffs.kept_fractions[::-1]
-    return _clamp01(bernstein_mixture(rev, p))
+    return _reliability(coeffs, "link", p)
 
 
 def node_curve_value_exact(coeffs: ReliabilityCoefficients, p):
     """S-form value in exact rational arithmetic (p may be a Fraction)."""
-    if coeffs.kind != "node":
-        raise ValueError("node-kind coefficients required")
-    p = Fraction(p)
-    q = 1 - p
-    n = coeffs.num_nodes
-    return sum(
-        s * p**k * q ** (n - k) for k, s in enumerate(coeffs.connected_counts) if s
-    )
+    return _reliability(coeffs, "node", p, exact=True)
 
 
 def link_curve_value_exact(coeffs: ReliabilityCoefficients, p):
-    if coeffs.kind != "link":
-        raise ValueError("link-kind coefficients required")
-    p = Fraction(p)
-    q = 1 - p
-    l = coeffs.num_links
-    return sum(f * q**j * p ** (l - j) for j, f in enumerate(coeffs.kept_counts) if f)
+    return _reliability(coeffs, "link", p, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +266,11 @@ def link_curve_value_exact(coeffs: ReliabilityCoefficients, p):
 
 
 def _check_family(family: str, n: int):
-    if family not in _FAMILY_MIN:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if n < _FAMILY_MIN[family]:
-        raise ValueError(f"family {family!r} needs n >= {_FAMILY_MIN[family]}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(FAMILIES)}")
+    min_n = FAMILIES[family][1]
+    if n < min_n:
+        raise ValueError(f"family {family!r} needs n >= {min_n}")
 
 
 def closed_form_eval(family: str, n: int, p: float) -> float:
@@ -313,8 +280,7 @@ def closed_form_eval(family: str, n: int, p: float) -> float:
     rational quotients, which blow up in floating point near p = 1/2.
     """
     _check_family(family, n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     q = 1.0 - p
     if family == "complete":
         return 1.0 - q**n
@@ -364,8 +330,7 @@ def family_node_coefficients(family: str, n: int) -> ReliabilityCoefficients:
             s[k] = math.comb(n - 1, k - 1)
     else:  # star-plus-pendant
         s[1] = n
-        if n >= 2:
-            s[2] = n - 1
+        s[2] = n - 1
         for k in range(3, n + 1):
             s[k] = math.comb(n - 2, k - 1) + math.comb(n - 3, k - 3)
     return ReliabilityCoefficients.node(n, s)

@@ -16,6 +16,11 @@ from .errors import EdgeListFormatError
 _MASK64 = (1 << 64) - 1
 
 
+def _seeded_generator(seed: int) -> np.random.Generator:
+    """numpy generator seeded by the low 64 bits of `seed`."""
+    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+
+
 class Graph:
     """Simple undirected graph: no self-loops, no parallel links, immutable."""
 
@@ -130,10 +135,6 @@ def degree_distribution(graph: Graph) -> DegreeDistribution:
     return DegreeDistribution(counts, graph.num_nodes)
 
 
-def pgf_eval(dist: DegreeDistribution, z: float) -> float:
-    return dist.pgf(z)
-
-
 def is_connected(graph: Graph, nodes) -> bool:
     """True iff the subgraph induced by `nodes` has exactly one component.
 
@@ -212,7 +213,7 @@ def generate_er(num_nodes: int, link_probability: float, seed: int) -> Graph:
         raise ValueError("num_nodes must be positive")
     if not 0.0 <= link_probability <= 1.0:
         raise ValueError("link probability must lie in [0, 1]")
-    rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
+    rng = _seeded_generator(seed)
     iu, ju = np.triu_indices(num_nodes, k=1)
     mask = rng.random(iu.size) < link_probability
     return Graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
@@ -225,7 +226,7 @@ def generate_rgg(num_nodes: int, radius: float, seed: int) -> Graph:
         raise ValueError("num_nodes must be positive")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
+    rng = _seeded_generator(seed)
     pts = rng.random((num_nodes, 2))
     iu, ju = np.triu_indices(num_nodes, k=1)
     d2 = np.sum((pts[iu] - pts[ju]) ** 2, axis=1)
@@ -344,3 +345,15 @@ def star_pendant_graph(n: int) -> Graph:
     edges = [(0, i) for i in range(1, n - 1)]
     edges.append((1, n - 1))
     return Graph(n, edges)
+
+
+# name -> (builder, smallest n the family's closed forms accept); the path
+# builder takes any n >= 1, but the path closed forms reject n < 3
+FAMILIES = {
+    "complete": (complete_graph, 1),
+    "complete-pendant": (complete_pendant_graph, 3),
+    "cycle": (cycle_graph, 3),
+    "path": (path_graph, 3),
+    "star": (star_graph, 3),
+    "star-pendant": (star_pendant_graph, 3),
+}

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curve import _check_probability
 from .errors import CapacityError
-from .graph import Graph, degree_distribution
-
-_MASK64 = (1 << 64) - 1
+from .graph import Graph, _seeded_generator, degree_distribution
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ class AugmentationPlan:
 
 def objective(graph: Graph, p: float) -> float:
     """1 - phi_D(1-p), the shared increasing core of both reliability surrogates."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     return 1.0 - degree_distribution(graph).pgf(1.0 - p)
 
 
@@ -75,8 +73,7 @@ def restructuring_delta(dest_degree: int, source_degree: int, p: float) -> float
         raise ValueError("source node has no link end to move")
     if dest_degree < 0:
         raise ValueError("degrees are nonnegative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     q = 1.0 - p
     return p * (q**dest_degree - q ** (source_degree - 1))
 
@@ -149,7 +146,7 @@ def random_pairing_addition(graph: Graph, k: int, seed: int):
             taken[u, v] = True
     iu, ju = np.triu_indices(n, k=1)
     free = np.flatnonzero(~taken[iu, ju])
-    rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
+    rng = _seeded_generator(seed)
     chosen = rng.choice(free, size=k, replace=False)
     added = sorted((int(iu[c]), int(ju[c])) for c in chosen)
     return _augment(graph, added), AugmentationPlan("random", k, tuple(added), seed=seed)

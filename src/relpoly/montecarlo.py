@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Curve
+from .curve import Curve, _check_probability
 from .exact import ReliabilityCoefficients, bernstein_mixture, _clamp01
-from .graph import Graph
-
-_MASK64 = (1 << 64) - 1
+from .graph import _MASK64, Graph
 
 # below this size, an inline shuffle beats the per-run numpy generator setup
 _SMALL_PERMUTATION = 32
@@ -41,11 +39,17 @@ def mix_seed(seed: int, index: int) -> int:
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker processes to use; the RELPOLY_THREADS env var caps the value."""
+    """Worker processes to use; the RELPOLY_THREADS env var caps the value.
+
+    Raises ValueError when RELPOLY_THREADS is set to anything but a positive
+    integer.
+    """
     w = workers if workers is not None else 1
     env = os.environ.get("RELPOLY_THREADS")
     if env:
-        w = min(w, max(1, int(env)))
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"RELPOLY_THREADS must be a positive integer, got {env!r}")
+        w = min(w, int(env))
     return max(1, min(w, os.cpu_count() or 1))
 
 
@@ -78,7 +82,10 @@ def _permutation(n: int, run_seed: int) -> list:
     if n >= _SMALL_PERMUTATION:
         return np.random.Generator(np.random.PCG64(run_seed)).permutation(n).tolist()
     # Fisher-Yates driven by a SplitMix64 stream; index draws use the
-    # multiply-shift trick, whose bias of at most n/2^64 is irrelevant here
+    # multiply-shift trick, whose bias of at most n/2^64 is irrelevant here.
+    # Draw k equals mix_seed(run_seed, k), but the step stays inline: calling
+    # mix_seed per draw cost +4 us per run at n = 18 and +6 us at n = 30
+    # (22-24 % slower, 2-vCPU Xeon, CPython 3.11).
     perm = list(range(n))
     state = run_seed
     for i in range(n - 1, 0, -1):
@@ -176,23 +183,8 @@ def link_removal_profile(graph: Graph, removal_order) -> list:
     return [bool(x) for x in out]
 
 
-# worker-side state, set once per process by the pool initializer
-_WORK = {}
-
-
-def _init_worker(kind, payload, n, l, seed):
-    _WORK["kind"] = kind
-    _WORK["payload"] = payload
-    _WORK["n"] = n
-    _WORK["l"] = l
-    _WORK["seed"] = seed
-
-
-def _count_range(bounds):
-    start, stop = bounds
-    kind = _WORK["kind"]
-    n, l, seed = _WORK["n"], _WORK["l"], _WORK["seed"]
-    payload = _WORK["payload"]
+def _count_range(kind, payload, n, l, seed, start, stop):
+    """Disconnection counts of runs start..stop-1, from the arguments alone."""
     if kind == "node":
         out = [0] * (n + 1)
         for r in range(start, stop):
@@ -204,54 +196,39 @@ def _count_range(bounds):
     return out
 
 
-def _accumulate(kind, payload, n, l, seed, runs, workers):
+def _estimate(graph: Graph, kind: str, runs: int, seed: int, workers) -> CutFractionEstimate:
+    n, l = graph.num_nodes, graph.num_links
+    dim = n if kind == "node" else l
+    if dim < 1:
+        raise ValueError(f"graph must have at least one {kind}")
+    if runs < 1:
+        raise ValueError("runs must be positive")
+    payload = graph.adjacency if kind == "node" else graph.edges()
     w = resolve_workers(workers)
     if w <= 1 or runs < 4 * w:
-        _init_worker(kind, payload, n, l, seed)
-        try:
-            return _count_range((0, runs))
-        finally:
-            _WORK.clear()
-    chunks = []
-    step = max(1, runs // (w * 4))
-    at = 0
-    while at < runs:
-        chunks.append((at, min(at + step, runs)))
-        at += step
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(w, initializer=_init_worker, initargs=(kind, payload, n, l, seed)) as pool:
-        partials = pool.map(_count_range, chunks)
-    total = [0] * len(partials[0])
-    for part in partials:
-        for j, c in enumerate(part):
-            total[j] += c
-    return total
+        counts = _count_range(kind, payload, n, l, seed, 0, runs)
+    else:
+        step = max(1, runs // (w * 4))
+        chunks = [
+            (kind, payload, n, l, seed, at, min(at + step, runs)) for at in range(0, runs, step)
+        ]
+        with multiprocessing.get_context("fork").Pool(w) as pool:
+            counts = [sum(column) for column in zip(*pool.starmap(_count_range, chunks))]
+    return CutFractionEstimate(kind, dim, tuple(counts), runs, seed)
 
 
 def estimate_node_cut_fractions(
     graph: Graph, runs: int, seed: int, workers: int | None = None
 ) -> CutFractionEstimate:
     """Estimate the node cut fractions c_j over `runs` random removal orders."""
-    if graph.num_nodes < 1:
-        raise ValueError("graph must have at least one node")
-    if runs < 1:
-        raise ValueError("runs must be positive")
-    counts = _accumulate("node", graph.adjacency, graph.num_nodes, None, seed, runs, workers)
-    return CutFractionEstimate("node", graph.num_nodes, tuple(counts), runs, seed)
+    return _estimate(graph, "node", runs, seed, workers)
 
 
 def estimate_link_cut_fractions(
     graph: Graph, runs: int, seed: int, workers: int | None = None
 ) -> CutFractionEstimate:
     """Estimate the link cut fractions over `runs` random link removal orders."""
-    if graph.num_links < 1:
-        raise ValueError("graph must have at least one link")
-    if runs < 1:
-        raise ValueError("runs must be positive")
-    counts = _accumulate(
-        "link", graph.edges(), graph.num_nodes, graph.num_links, seed, runs, workers
-    )
-    return CutFractionEstimate("link", graph.num_links, tuple(counts), runs, seed)
+    return _estimate(graph, "link", runs, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -261,33 +238,40 @@ def estimate_link_cut_fractions(
 _log = logging.getLogger(__name__)
 
 
-def _estimate_curve_values(est: CutFractionEstimate, grid):
-    # evaluate 1 - sum_j C(n,j) c_j p^(n-j) (1-p)^j as the complement mixture
-    # sum_j C(n,j) (1-c_j) p^(n-j) (1-p)^j: summing nonnegative terms avoids
-    # the cancellation dirt that x^p would otherwise blow up near zero
+def _estimate_curve(est: CutFractionEstimate):
+    """p -> 1 - sum_j C(n,j) c_j p^(n-j) (1-p)^j for the estimate, clamped to [0, 1].
+
+    The value is taken as the complement mixture
+    sum_j C(n,j) (1-c_j) p^(n-j) (1-p)^j: summing nonnegative terms avoids
+    the cancellation dirt that x^p would otherwise blow up near zero.
+    """
     rev_survive = tuple(1.0 - c for c in est.fractions)[::-1]
-    raw = [bernstein_mixture(rev_survive, p) for p in grid]
-    values = tuple(_clamp01(v) for v in raw)
-    if any(r != v for r, v in zip(raw, values)):
-        _log.debug("clamped curve values; raw range [%.17g, %.17g]", min(raw), max(raw))
-    return values
+
+    def value(p):
+        raw = bernstein_mixture(rev_survive, float(p))
+        if 0.0 <= raw <= 1.0:
+            return raw
+        _log.debug("clamped curve value at p=%.17g; raw %.17g", p, raw)
+        return _clamp01(raw)
+
+    return value
+
+
+def _reliability_curve(est: CutFractionEstimate, grid, kind: str) -> Curve:
+    if est.kind != kind:
+        raise ValueError(f"{kind}-kind estimate required")
+    values = tuple(map(_estimate_curve(est), grid))
+    meta = {"method": "mc", "kind": kind, "runs": est.runs, "seed": est.seed}
+    return Curve(tuple(grid), values, meta)
 
 
 def node_reliability_curve(est: CutFractionEstimate, grid) -> Curve:
     """1 - sum_j C(N,j) c_j p^(N-j) (1-p)^j on the grid, clamped to [0, 1]."""
-    if est.kind != "node":
-        raise ValueError("node-kind estimate required")
-    values = _estimate_curve_values(est, grid)
-    meta = {"method": "mc", "kind": "node", "runs": est.runs, "seed": est.seed}
-    return Curve(tuple(grid), values, meta)
+    return _reliability_curve(est, grid, "node")
 
 
 def link_reliability_curve(est: CutFractionEstimate, grid) -> Curve:
-    if est.kind != "link":
-        raise ValueError("link-kind estimate required")
-    values = _estimate_curve_values(est, grid)
-    meta = {"method": "mc", "kind": "link", "runs": est.runs, "seed": est.seed}
-    return Curve(tuple(grid), values, meta)
+    return _reliability_curve(est, grid, "link")
 
 
 def estimate_link_reliability_curve(
@@ -334,8 +318,7 @@ def laplace_estimate(source, p: float, basis: str = "c") -> float:
     The two agree whenever the fractions come from the same coefficients.
     Non-integer indices are linearly interpolated.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     cvec, n = _cut_fraction_vector(source)
     if basis == "c":
         return _clamp01(1.0 - _interp(cvec, n * (1.0 - p)))

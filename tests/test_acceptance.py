@@ -17,7 +17,6 @@ from relpoly import (
     build_probe_system,
     closed_form_eval,
     complete_graph,
-    complete_pendant_graph,
     cycle_graph,
     enumerate_node_coefficients,
     er_intersection,
@@ -36,31 +35,20 @@ from relpoly import (
     load_edge_list,
     node_reliability_curve,
     node_reliability_s_form,
-    path_graph,
     power_relation_gap,
     probability_grid,
     random_pairing_addition,
     recover_cut_counts,
     save_edge_list,
-    star_graph,
-    star_pendant_graph,
     stochastic_link_reliability,
     stochastic_node_curve,
     stochastic_node_reliability,
 )
 from relpoly.cli import main as cli_main
+from relpoly.graph import FAMILIES
 from relpoly.kgrip import objective, restructuring_delta
 from conftest import CORPUS, INTERIOR_GRID_99, WORKERS
 from oracle import brute_cut_counts
-
-FAMILY_BUILDERS = {
-    "complete": complete_graph,
-    "complete-pendant": complete_pendant_graph,
-    "cycle": cycle_graph,
-    "path": path_graph,
-    "star": star_graph,
-    "star-pendant": star_pendant_graph,
-}
 
 
 def _report(criterion, ok, detail):
@@ -71,7 +59,7 @@ def _report(criterion, ok, detail):
 def test_criterion_1_closed_forms_match_enumeration():
     t0 = time.perf_counter()
     worst = 0.0
-    for family, builder in FAMILY_BUILDERS.items():
+    for family, (builder, _) in FAMILIES.items():
         for n in range(3, 11):
             coeffs = enumerate_node_coefficients(builder(n))
             for p in INTERIOR_GRID_99:

@@ -56,6 +56,18 @@ class TestStochasticApproximation:
         with pytest.warns(ConnectivityWarning):
             stochastic_link_reliability(g, 0.5)
 
+    def test_warning_points_at_caller(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        for call in (
+            lambda: stochastic_node_reliability(g, 0.5),
+            lambda: stochastic_link_reliability(g, 0.5),
+            lambda: stochastic_node_curve(g, (0.25, 0.5)),
+            lambda: stochastic_link_curve(g, (0.25, 0.5)),
+        ):
+            with pytest.warns(ConnectivityWarning) as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+
     def test_power_identity_exact(self, corpus):
         # node value == link value ** p by construction, everywhere
         grid = [i / 25 for i in range(26)]
@@ -163,9 +175,17 @@ class TestErFormulas:
 
     def test_no_intersection_reported(self):
         # log N1 / log N2 = 1/6 fails to exceed k1/k2 = 10/11
-        res = er_intersection(ErModel(10, 1.0), ErModel(10**6, 11 / 10**6))
+        small, large = ErModel(10, 1.0), ErModel(10**6, 11 / 10**6)
+        res = er_intersection(small, large)
         assert not res.inside
-        assert "no intersection" in res.note
+        assert res.note == (
+            "no intersection in (0, 1): needs log N1 / log N2 > k1/k2, "
+            "but 2.30259/13.8155 <= 10/11"
+        )
+        assert er_intersection(large, small).note == (
+            "no intersection in (0, 1): needs log N1 / log N2 < k1/k2, "
+            "but 13.8155/2.30259 >= 11/10"
+        )
 
     def test_equal_mean_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -219,3 +219,31 @@ class TestUsageErrors:
 
     def test_missing_input_file(self, tmp_path):
         assert run_cli(["exact", "--input", tmp_path / "absent.edges"]) == 1
+
+
+MC_COMMANDS = (
+    ["mc", "--family", "cycle", "--n", 5, "--runs", 20],
+    ["laplace", "--family", "cycle", "--n", 5, "--source", "mc", "--runs", 20],
+    ["cutsets", "--family", "cycle", "--n", 5, "--source", "mc", "--runs", 20],
+)
+
+
+class TestWorkerSettings:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    @pytest.mark.parametrize("argv", MC_COMMANDS, ids=lambda a: a[0])
+    def test_bad_env_is_usage_error(self, monkeypatch, capsys, argv, value):
+        monkeypatch.setenv("RELPOLY_THREADS", value)
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "RELPOLY_THREADS" in err
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("argv", MC_COMMANDS, ids=lambda a: a[0])
+    def test_workers_below_one_is_usage_error(self, capsys, argv, workers):
+        assert run_cli(argv + ["--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--workers" in err
+
+    def test_good_env_runs(self, monkeypatch, capsys):
+        monkeypatch.setenv("RELPOLY_THREADS", "1")
+        assert run_cli(MC_COMMANDS[0] + ["--workers", 2, "--grid", 3]) == 0

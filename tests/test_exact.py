@@ -26,6 +26,7 @@ from relpoly.exact import (
     node_curve_value_exact,
     path_rational_form,
 )
+from relpoly.graph import FAMILIES
 from oracle import (
     brute_connected_counts,
     brute_cut_counts,
@@ -33,15 +34,6 @@ from oracle import (
     direct_link_polynomial,
     direct_node_polynomial,
 )
-
-FAMILY_BUILDERS = {
-    "complete": complete_graph,
-    "complete-pendant": complete_pendant_graph,
-    "cycle": cycle_graph,
-    "path": path_graph,
-    "star": star_graph,
-    "star-pendant": star_pendant_graph,
-}
 
 
 class TestNodeEnumeration:
@@ -204,19 +196,19 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_eval("wheel", 5, 0.5)
 
-    @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_enumeration(self, family, grid99):
         for n in range(3, 8):
-            coeffs = enumerate_node_coefficients(FAMILY_BUILDERS[family](n))
+            coeffs = enumerate_node_coefficients(FAMILIES[family][0](n))
             for p in grid99[::3]:
                 brute = node_reliability_s_form(coeffs, p)
                 assert abs(closed_form_eval(family, n, p) - brute) < 1e-10, (family, n, p)
 
-    @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_family_coefficients_match_enumeration(self, family):
         for n in range(3, 9):
             direct = family_node_coefficients(family, n)
-            brute = enumerate_node_coefficients(FAMILY_BUILDERS[family](n))
+            brute = enumerate_node_coefficients(FAMILIES[family][0](n))
             assert direct.connected_counts == brute.connected_counts, (family, n)
 
     def test_rational_forms_agree_away_from_half(self):

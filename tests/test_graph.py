@@ -16,7 +16,6 @@ from relpoly import (
     is_connected,
     load_edge_list,
     path_graph,
-    pgf_eval,
     save_edge_list,
     star_graph,
 )
@@ -95,11 +94,11 @@ class TestDegreeDistribution:
 
     def test_pgf_normalization(self):
         for g in (star_graph(5), cycle_graph(6), path_graph(4)):
-            assert pgf_eval(degree_distribution(g), 1.0) == pytest.approx(1.0, abs=1e-15)
+            assert degree_distribution(g).pgf(1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_pgf_values(self):
-        assert pgf_eval(degree_distribution(cycle_graph(4)), 0.5) == pytest.approx(0.25)
-        assert pgf_eval(degree_distribution(star_graph(3)), 0.5) == pytest.approx(5 / 12)
+        assert degree_distribution(cycle_graph(4)).pgf(0.5) == pytest.approx(0.25)
+        assert degree_distribution(star_graph(3)).pgf(0.5) == pytest.approx(5 / 12)
 
     def test_pgf_domain(self):
         d = degree_distribution(cycle_graph(4))

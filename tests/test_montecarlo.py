@@ -24,7 +24,7 @@ from relpoly import (
     path_graph,
     star_graph,
 )
-from relpoly.montecarlo import mix_seed
+from relpoly.montecarlo import _permutation, mix_seed
 from oracle import forward_deletion_profile, naive_connected
 
 GRID = tuple(i / 20 for i in range(21))
@@ -232,6 +232,14 @@ class TestWorkerResolution:
         assert resolve_workers(None) == 1
         assert resolve_workers(0) == 1
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0"])
+    def test_env_must_be_positive_integer(self, monkeypatch, value):
+        from relpoly.montecarlo import resolve_workers
+
+        monkeypatch.setenv("RELPOLY_THREADS", value)
+        with pytest.raises(ValueError, match="RELPOLY_THREADS"):
+            resolve_workers(2)
+
 
 class TestSeedMixing:
     def test_mix_is_stable(self):
@@ -243,3 +251,15 @@ class TestSeedMixing:
         vals = [mix_seed(7, i) for i in range(100)]
         assert all(0 <= v < (1 << 64) for v in vals)
         assert len(set(vals)) == 100
+
+    def test_small_permutation_is_mix_seed_shuffle(self):
+        # the inline shuffle below 32 elements repeats mix_seed's stream:
+        # draw k of run seed s is mix_seed(s, k)
+        seeds = [0, 1, (1 << 64) - 1] + [mix_seed(2024, t) for t in range(200)]
+        for n in range(1, 32):
+            for s in seeds:
+                expected = list(range(n))
+                for k, i in enumerate(range(n - 1, 0, -1)):
+                    j = (mix_seed(s, k) * (i + 1)) >> 64
+                    expected[i], expected[j] = expected[j], expected[i]
+                assert _permutation(n, s) == expected, (n, s)
