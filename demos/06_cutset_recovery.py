@@ -1,9 +1,10 @@
 """Recovering cut-set counts from reliability curves.
 
 Sampling the curve at n+1 interior probabilities yields a square linear
-system for the cut-set count vector. With exact rational probes the counts
-come back exactly; with a Monte Carlo curve the solver still answers, and
-the attached residual says how much to trust it.
+system for the cut-set count vector, which is solved exactly. With an exact
+curve the counts come back exactly; with a Monte Carlo curve the solver
+still answers, and the noise shows as raw values away from integers (the
+rounding deviation) and as counts outside [0, C(n, j)] (the flags).
 """
 
 from relpoly import (
@@ -22,7 +23,7 @@ print(f"2x3 grid graph: true C = {coeffs.cut_counts}")
 
 system = build_probe_system(graph.num_nodes, exact_node_curve_source(coeffs))
 rec = recover_cut_counts(system)
-print(f"exact-source recovery: C = {rec.counts}, residual {rec.residual:.1e}, "
+print(f"exact-source recovery: C = {rec.counts}, "
       f"rounding deviation {rec.max_rounding_deviation:.1e}")
 
 est = estimate_node_cut_fractions(graph, 100000, seed=12)
@@ -30,9 +31,10 @@ noisy_probes = [float(p) for p in rec.probes]
 noisy = recover_cut_counts(
     build_probe_system(graph.num_nodes, estimate_curve_source(est), noisy_probes)
 )
-print(f"MC-source recovery:    C = {noisy.counts}, residual {noisy.residual:.1e}")
+print(f"MC-source recovery:    C = {noisy.counts}, "
+      f"rounding deviation {noisy.max_rounding_deviation:.1e}")
 if noisy.flags:
     print(f"  flags: {noisy.flags}")
 print()
 print("The probe matrix is a disguised Vandermonde system, so curve noise")
-print("amplifies quickly with size; the residual and flags report it.")
+print("amplifies quickly with size; the rounding deviation and flags report it.")

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from .curve import Curve, _check_probability
 from .errors import ConnectivityWarning
-from .graph import Graph, degree_distribution
+from .graph import Graph
 
 
 def _stochastic_curve(graph: Graph, grid, kind: str, label=None) -> Curve:
     """(1 - phi_D(1-p))^(N p) for kind "node", (1 - phi_D(1-p))^N for "link",
-    on a grid; the degree distribution is built once for the whole grid."""
+    on a grid."""
     grid = tuple(grid)
     for p in grid:
         _check_probability(p)
@@ -32,14 +32,12 @@ def _stochastic_curve(graph: Graph, grid, kind: str, label=None) -> Curve:
             stacklevel=3,  # the caller of the public function
         )
     n = graph.num_nodes
-    pgf = None  # built on first use: p = 0 alone needs none, even on an empty graph
     values = []
     for p in grid:
         if kind == "node" and p == 0.0:
-            values.append(1.0)  # exponent N*p vanishes; the formula is vacuous at p = 0
+            values.append(1.0)  # exponent N*p vanishes: vacuous at p = 0, even with no nodes
             continue
-        pgf = pgf or degree_distribution(graph).pgf
-        phi = pgf(1.0 - p)
+        phi = graph.degree_distribution().pgf(1.0 - p)
         exponent = n * p if kind == "node" else n
         values.append(0.0 if phi >= 1.0 else math.exp(exponent * math.log1p(-phi)))
     return Curve(grid, tuple(values), {"method": "stochastic", "kind": kind, "graph": label})
@@ -74,7 +72,7 @@ def arithmetic_upper_bound(graph: Graph, p: float) -> float:
     Cost is one pgf evaluation, O(#distinct degrees).
     """
     _check_probability(p)
-    phi = degree_distribution(graph).pgf(1.0 - p)
+    phi = graph.degree_distribution().pgf(1.0 - p)
     x = p * phi
     if x >= 1.0:
         return 0.0
@@ -84,10 +82,9 @@ def arithmetic_upper_bound(graph: Graph, p: float) -> float:
 def geometric_upper_bound(graph: Graph, p: float) -> float:
     """prod_i (1 - p (1-p)^(d_i)), each node's own not-isolated probability."""
     _check_probability(p)
-    dist = degree_distribution(graph)
     q = 1.0 - p
     total = 0.0
-    for j, n_j in dist.degree_counts.items():
+    for j, n_j in graph.degree_distribution().degree_counts.items():
         f = p * q**j
         if f >= 1.0:
             return 0.0

@@ -98,9 +98,16 @@ def _emit_curve(curve: Curve, args, label):
         _write(args.out + ".meta.json", out.metadata_json())
 
 
+def _worker_count(text: str) -> int:
+    """Type of every --workers flag, checked at parse time whether or not
+    the command runs Monte Carlo. argparse rewrites only ArgumentTypeError,
+    TypeError and ValueError, so the UsageError reaches `main` (exit 2)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise UsageError(f"--workers must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _workers(args):
-    if args.workers is not None and args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     try:
         return montecarlo.resolve_workers(args.workers or os.cpu_count())
     except ValueError as err:  # RELPOLY_THREADS is not a positive integer
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=("node", "link"), default="node")
     s.add_argument("--runs", type=int, default=100000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=int, help="worker processes (RELPOLY_THREADS caps this)")
+    s.add_argument("--workers", type=_worker_count, help="worker processes (RELPOLY_THREADS caps this)")
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_mc)
 
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--runs", type=int, default=100000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP)
-    s.add_argument("--workers", type=int)
+    s.add_argument("--workers", type=_worker_count)
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_laplace)
 
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP)
     s.add_argument("--probes", help="comma-separated probe list (fractions like 1/7 allowed)")
     s.add_argument("--no-round", action="store_true", help="report raw solved values")
-    s.add_argument("--workers", type=int)
+    s.add_argument("--workers", type=_worker_count)
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_cutsets)
 
@@ -447,13 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # argparse has printed its own message
+        return exc.code if exc.code is not None else 2
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

@@ -2,28 +2,25 @@
 
 Sampling the C-form polynomial at n+1 interior probabilities gives a
 square linear system P C = 1 - curve, whose matrix rows are the Bernstein
-point weights (1-p_i)^j p_i^(n-j). The matrix is a disguised Vandermonde
-and conditions terribly as n grows, so the solve runs either in exact
-rational arithmetic (when probes and curve values are Fractions) or in
-mpmath extended precision, and every answer carries its residual.
+point weights (1-p_i)^j p_i^(n-j). Divided by p_i^n, row i becomes the
+Vandermonde row t_i^j in t_i = (1-p_i)/p_i, which conditions terribly as n
+grows; so the system is solved exactly, in rational arithmetic, by the
+O(n^2) Bjorck-Pereyra algorithm. Float probes and curve values enter as
+the binary rationals they are.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from .errors import CapacityError
 from .exact import ReliabilityCoefficients, _reliability
 from .montecarlo import _estimate_curve
 
 DEFAULT_DIMENSION_CAP = 30
-
-RESIDUAL_WARN_THRESHOLD = 1e-6
 
 
 def default_probes(n: int):
@@ -81,7 +78,10 @@ def build_probe_system(n: int, curve_source, probes=None) -> ProbeSystem:
 
 @dataclass(frozen=True)
 class CutCountRecovery:
-    """Solved coefficient vector with its numerical health report."""
+    """Solved coefficient vector with its rounding report.
+
+    `residual` is ||P C - rhs||_inf of the solution, 0.0 since the solve is exact.
+    """
 
     counts: tuple
     raw: tuple
@@ -90,7 +90,6 @@ class CutCountRecovery:
     max_rounding_deviation: float
     probes: tuple
     flags: tuple
-    warning: str = None
 
     def to_json(self) -> str:
         payload = {
@@ -103,42 +102,32 @@ class CutCountRecovery:
             payload["max_rounding_deviation"] = self.max_rounding_deviation
         if self.flags:
             payload["flags"] = list(self.flags)
-        if self.warning:
-            payload["warning"] = self.warning
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _solve_exact(system: ProbeSystem):
-    n = system.dimension
-    a = [row[:] + [Fraction(system.rhs[i])] for i, row in enumerate(system.matrix())]
-    for col in range(n + 1):
-        pivot = max(range(col, n + 1), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise ValueError("singular probe system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n + 1):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n + 1] for i in range(n + 1)]
+def _solve(system: ProbeSystem) -> list:
+    """The exact solution C of P C = rhs, as Fractions.
 
-
-def _solve_mpmath(system: ProbeSystem):
+    Row i over p_i^n reads sum_j C_j t_i^j = rhs_i / p_i^n, a Vandermonde
+    system in t_i = (1-p_i)/p_i: Newton divided differences of the scaled
+    rhs, then their expansion into monomial coefficients (Bjorck & Pereyra,
+    Math. Comp. 24(112), 1970). A system that is not all-rational is read
+    at float(x) of each probe and rhs entry.
+    """
     n = system.dimension
-    # floats convert to mpf exactly; precision grows with the dimension to
-    # outrun the Vandermonde-style conditioning, and the rows are built in
-    # mpf at that precision
-    with mp.workdps(max(50, 20 + 4 * n)):
-        probes = tuple(mp.mpf(float(p)) for p in system.probes)
-        a = mp.matrix(replace(system, probes=probes).matrix())
-        b = mp.matrix([float(r) for r in system.rhs])
-        x = mp.lu_solve(a, b)
-        res = a * x - b
-        solution = [float(x[i]) for i in range(n + 1)]
-        residual = float(max(abs(res[i]) for i in range(n + 1)))
-    return solution, residual
+    read = Fraction if system.exact else (lambda x: Fraction(float(x)))
+    probes = [read(p) for p in system.probes]
+    if 0 in probes or len(set(probes)) < len(probes):
+        raise ValueError("singular probe system: probes must be distinct and nonzero")
+    t = [(1 - p) / p for p in probes]
+    c = [read(r) / p**n for p, r in zip(probes, system.rhs)]
+    for k in range(n):
+        for i in range(n, k, -1):
+            c[i] = (c[i] - c[i - 1]) / (t[i] - t[i - k - 1])
+    for k in range(n - 1, -1, -1):
+        for i in range(k, n):
+            c[i] -= t[k] * c[i + 1]
+    return c
 
 
 def recover_cut_counts(
@@ -146,23 +135,18 @@ def recover_cut_counts(
 ) -> CutCountRecovery:
     """Solve the probe system for the cut-set count vector.
 
-    Exact rational systems are eliminated exactly (residual 0); float
-    systems go through mpmath at extended working precision. The residual
-    ||P C - rhs||_inf always accompanies the answer, and residuals above
-    1e-6 attach an ill-conditioning warning instead of raising.
+    The solve is exact for every system (float entries are read as the
+    binary rationals they are), so `raw` is the true solution rounded once
+    to float and the residual is 0. Noise in the curve source shows up as
+    raw values away from integers: in `max_rounding_deviation` and, for
+    counts outside [0, C(n,j)], in `flags`.
     """
     n = system.dimension
     if n > cap:
         raise CapacityError(
             f"probe systems condition too badly past n={cap}; got n={n}"
         )
-    if system.exact:
-        exact_solution = _solve_exact(system)
-        raw = tuple(float(x) for x in exact_solution)
-        residual = 0.0
-    else:
-        solution, residual = _solve_mpmath(system)
-        raw = tuple(solution)
+    raw = tuple(float(x) for x in _solve(system))
 
     flags = []
     if rounding:
@@ -176,13 +160,7 @@ def recover_cut_counts(
     else:
         counts = raw
         deviation = 0.0
-
-    warning = None
-    if residual > RESIDUAL_WARN_THRESHOLD:
-        warning = f"ill-conditioned solve: residual {residual:.3e} exceeds {RESIDUAL_WARN_THRESHOLD:.0e}"
-    return CutCountRecovery(
-        counts, raw, residual, rounding, deviation, system.probes, tuple(flags), warning
-    )
+    return CutCountRecovery(counts, raw, 0.0, rounding, deviation, system.probes, tuple(flags))
 
 
 # ---------------------------------------------------------------------------

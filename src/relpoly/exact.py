@@ -116,10 +116,6 @@ class ReliabilityCoefficients:
         """c_j = C_j / C(N,j), the chance a uniform j-removal disconnects."""
         return _fractions(self.cut_counts)
 
-    @property
-    def kept_fractions(self) -> tuple:
-        return _fractions(self.kept_counts)
-
     def to_json(self) -> str:
         payload = {"N": self.num_nodes, "kind": self.kind}
         if self.kind == "node":
@@ -255,10 +251,6 @@ def link_reliability(coeffs: ReliabilityCoefficients, p: float) -> float:
 def node_curve_value_exact(coeffs: ReliabilityCoefficients, p):
     """S-form value in exact rational arithmetic (p may be a Fraction)."""
     return _reliability(coeffs, "node", p, exact=True)
-
-
-def link_curve_value_exact(coeffs: ReliabilityCoefficients, p):
-    return _reliability(coeffs, "link", p, exact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ def _seeded_generator(seed: int) -> np.random.Generator:
 class Graph:
     """Simple undirected graph: no self-loops, no parallel links, immutable."""
 
-    __slots__ = ("_n", "_adj", "_m", "_connected")
+    __slots__ = ("_n", "_adj", "_m", "_connected", "_degrees")
 
     def __init__(self, num_nodes: int, edges=()):
         if num_nodes < 0:
@@ -41,6 +41,7 @@ class Graph:
         self._adj = tuple(tuple(sorted(s)) for s in sets)
         self._m = sum(len(s) for s in sets) // 2
         self._connected = None
+        self._degrees = None
 
     @property
     def num_nodes(self) -> int:
@@ -77,6 +78,12 @@ class Graph:
             self._connected = is_connected(self, range(self._n))
         return self._connected
 
+    def degree_distribution(self) -> "DegreeDistribution":
+        """Empirical degree distribution (cached); raises on a graph with no nodes."""
+        if self._degrees is None:
+            self._degrees = degree_distribution(self)
+        return self._degrees
+
     def __repr__(self):
         return f"Graph(N={self._n}, L={self._m})"
 
@@ -108,10 +115,6 @@ class DegreeDistribution:
     def degree_counts(self) -> dict:
         """Raw n_j counts behind the probabilities."""
         return dict(self._counts)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self._counts)
 
     @property
     def num_nodes(self) -> int:

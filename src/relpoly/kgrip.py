@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import _check_probability
 from .errors import CapacityError
-from .graph import Graph, _seeded_generator, degree_distribution
+from .graph import Graph, _seeded_generator
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class AugmentationPlan:
 def objective(graph: Graph, p: float) -> float:
     """1 - phi_D(1-p), the shared increasing core of both reliability surrogates."""
     _check_probability(p)
-    return 1.0 - degree_distribution(graph).pgf(1.0 - p)
+    return 1.0 - graph.degree_distribution().pgf(1.0 - p)
 
 
 def restructuring_delta(dest_degree: int, source_degree: int, p: float) -> float:

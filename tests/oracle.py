@@ -6,6 +6,7 @@ polynomial sums instead of log-space mixtures. Slow and obvious on purpose.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 from relpoly import Graph
@@ -88,6 +89,28 @@ def direct_c_form_polynomial(c_counts, p):
 def direct_link_polynomial(f_counts, p):
     l = len(f_counts) - 1
     return sum(f * (1 - p) ** j * p ** (l - j) for j, f in enumerate(f_counts))
+
+
+def gauss_jordan_solve(rows, rhs):
+    """x with rows x = rhs, by Gauss-Jordan elimination in Fraction arithmetic.
+
+    O(n^3) and exact; raises ValueError("singular probe system") when a
+    column has no nonzero pivot.
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:
+            raise ValueError("singular probe system")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
 
 
 def union_find_component_count(graph):

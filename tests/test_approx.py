@@ -40,6 +40,11 @@ class TestStochasticApproximation:
     def test_p_zero_limit(self):
         assert stochastic_node_reliability(cycle_graph(5), 0.0) == 1.0
 
+    def test_p_zero_needs_no_degree_distribution(self):
+        # a graph with no nodes has no degree distribution, yet N*p = 0 at p = 0
+        with pytest.warns(ConnectivityWarning):
+            assert stochastic_node_reliability(Graph(0), 0.0) == 1.0
+
     def test_p_one_without_isolated_nodes(self):
         assert stochastic_node_reliability(cycle_graph(5), 1.0) == 1.0
         assert stochastic_link_reliability(cycle_graph(5), 1.0) == 1.0

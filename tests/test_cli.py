@@ -244,6 +244,21 @@ class TestWorkerSettings:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "--workers" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["laplace", "--family", "cycle", "--n", 5, "--source", "exact"],
+        ["cutsets", "--family", "path", "--n", 4, "--source", "exact"],
+    ], ids=lambda a: a[0])
+    def test_workers_checked_without_monte_carlo(self, capsys, argv):
+        assert run_cli(argv + ["--workers", 0]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--workers" in err
+
+    @pytest.mark.parametrize("argv", MC_COMMANDS, ids=lambda a: a[0])
+    def test_workers_must_be_an_integer(self, capsys, argv):
+        assert run_cli(argv + ["--workers", "1.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--workers" in err
+
     def test_good_env_runs(self, monkeypatch, capsys):
         monkeypatch.setenv("RELPOLY_THREADS", "1")
         assert run_cli(MC_COMMANDS[0] + ["--workers", 2, "--grid", 3]) == 0

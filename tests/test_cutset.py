@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from relpoly import (
     CapacityError,
+    ProbeSystem,
+    ReliabilityCoefficients,
     build_probe_system,
     complete_graph,
     cycle_graph,
@@ -13,15 +17,20 @@ from relpoly import (
     enumerate_link_coefficients,
     enumerate_node_coefficients,
     estimate_curve_source,
+    estimate_link_cut_fractions,
     estimate_node_cut_fractions,
     exact_link_curve_source,
     exact_node_curve_source,
+    family_node_coefficients,
+    generate_er,
+    generate_lattice,
     node_reliability_s_form,
     path_graph,
     recover_cut_counts,
     star_graph,
 )
-from oracle import brute_cut_counts
+from relpoly.cutset import _solve
+from oracle import brute_cut_counts, gauss_jordan_solve
 
 
 def exact_system(graph):
@@ -145,3 +154,87 @@ class TestGuards:
         assert payload["rounded"] is True
         assert payload["residual"] == 0.0
         assert payload["probes"] == [float(Fraction(i + 1, 5)) for i in range(4)]
+
+
+def _uniform_probes(n, seed):
+    rng = random.Random(seed)
+    return sorted(rng.uniform(0.02, 0.98) for _ in range(n + 1))
+
+
+def _cycle_link_coefficients(l):
+    # removing one link of a cycle keeps it connected, removing two never does
+    return ReliabilityCoefficients.link(l, l, [1, l] + [0] * (l - 1))
+
+
+# (id, builder of a probe system); every kind of system the solver meets
+SYSTEMS = (
+    ("exact-node-rational", lambda: exact_system(generate_er(10, 0.4, 3))),
+    ("exact-link-rational", lambda: build_probe_system(
+        10, exact_link_curve_source(enumerate_link_coefficients(generate_lattice((2, 4)))))),
+    ("exact-node-rational-n30", lambda: build_probe_system(
+        30, exact_node_curve_source(family_node_coefficients("star", 30)))),
+    ("exact-link-rational-n30", lambda: build_probe_system(
+        30, exact_link_curve_source(_cycle_link_coefficients(30)))),
+    ("exact-node-float", lambda: build_probe_system(
+        9, exact_node_curve_source(enumerate_node_coefficients(generate_er(9, 0.5, 8))), _uniform_probes(9, 1))),
+    ("exact-link-float", lambda: build_probe_system(
+        7, exact_link_curve_source(enumerate_link_coefficients(generate_lattice((2, 3)))), _uniform_probes(7, 2))),
+    ("exact-node-float-n30", lambda: build_probe_system(
+        30, exact_node_curve_source(family_node_coefficients("cycle", 30)), _uniform_probes(30, 3))),
+    ("mc-node", lambda: build_probe_system(
+        8, estimate_curve_source(estimate_node_cut_fractions(generate_er(8, 0.5, 5), 300, seed=1)))),
+    ("mc-link", lambda: build_probe_system(
+        7, estimate_curve_source(estimate_link_cut_fractions(generate_lattice((2, 3)), 300, seed=2)),
+        _uniform_probes(7, 4))),
+    ("mc-node-n30", lambda: build_probe_system(
+        30, estimate_curve_source(estimate_node_cut_fractions(path_graph(30), 200, seed=3)))),
+    ("mc-link-n29", lambda: build_probe_system(
+        29, estimate_curve_source(estimate_link_cut_fractions(cycle_graph(29), 200, seed=4)))),
+)
+
+
+def _as_read(system):
+    """The system with every entry as the rational the solver reads it as:
+    itself when all-rational, else the float it rounds to."""
+    if system.exact:
+        return system
+    return dataclasses.replace(
+        system,
+        probes=tuple(Fraction(float(p)) for p in system.probes),
+        rhs=tuple(Fraction(float(r)) for r in system.rhs),
+    )
+
+
+class TestExactSolver:
+    @pytest.mark.parametrize("build", [b for _, b in SYSTEMS], ids=[i for i, _ in SYSTEMS])
+    def test_raw_is_the_oracle_solution(self, build):
+        system = build()
+        read = _as_read(system)
+        expected = gauss_jordan_solve(read.matrix(), read.rhs)
+        rec = recover_cut_counts(system, rounding=False)
+        assert rec.raw == tuple(float(x) for x in expected)
+        assert rec.residual == 0.0
+
+    @pytest.mark.parametrize("build", [b for _, b in SYSTEMS], ids=[i for i, _ in SYSTEMS])
+    def test_solution_satisfies_the_matrix_exactly(self, build):
+        read = _as_read(build())
+        solution = _solve(read)
+        for row, r in zip(read.matrix(), read.rhs):
+            assert sum(a * x for a, x in zip(row, solution)) == r
+
+    @pytest.mark.parametrize("probes", [
+        (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)),
+        (0.25, 0.5, 0.5),
+    ])
+    def test_repeated_probes_are_singular(self, probes):
+        system = ProbeSystem(2, probes, (Fraction(1, 2),) * 3)
+        with pytest.raises(ValueError, match="singular"):
+            recover_cut_counts(system)
+        with pytest.raises(ValueError, match="singular"):
+            gauss_jordan_solve(system.matrix(), system.rhs)
+
+    def test_zero_probe_is_a_value_error(self):
+        # P itself is regular here, but row 0 has no Vandermonde form t^j
+        system = ProbeSystem(1, (Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)))
+        with pytest.raises(ValueError):
+            recover_cut_counts(system)

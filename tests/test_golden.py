@@ -71,8 +71,10 @@ CASES = (
     ("approx-rgg", ["approx", "rgg", "--n", "100", "--r", "0.2", "--grid", "51", "--out", "rgg.csv"]),
     ("approx-er-intersection", ["approx", "er-intersection", "--n", "100", "--pl", "0.05",
                                 "--n2", "10000", "--pl2", "0.0012"]),
-    ("approx-er-intersection-outside", ["approx", "er-intersection", "--n", "10000", "--pl", "0.05",
-                                        "--n2", "100", "--pl2", "0.0012", "--out", "inter.json"]),
+    ("approx-er-intersection-json-out", ["approx", "er-intersection", "--n", "10000", "--pl", "0.05",
+                                         "--n2", "100", "--pl2", "0.0012", "--out", "inter.json"]),
+    ("approx-er-intersection-none", ["approx", "er-intersection", "--n", "100", "--pl", "0.1",
+                                     "--n2", "10000", "--pl2", "0.0012"]),
     ("approx-er-width", ["approx", "er-width", "--n", "1000", "--pl", "0.02", "--lo", "0.05",
                          "--hi", "0.95"]),
     ("cutsets-exact-node", ["cutsets", "--input", "er12.edges", "--kind", "node"]),
@@ -222,9 +224,10 @@ EXPECTED = {
         'rgg.csv.meta.json': '1263c281404890737055c80defe56b3dc5021b2583f6a168432f09bbdefd2079',
     }),
     'approx-er-intersection': (0, '0b674e88d060dd0696340030dfa98625dda268f0932ccebe6aa5e9de0759cebc', {}),
-    'approx-er-intersection-outside': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
+    'approx-er-intersection-json-out': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
         'inter.json': '057ea7c5c444871381f3dc97950a3ed1c435a7cf59d896860b8dc55fdbcc4d17',
     }),
+    'approx-er-intersection-none': (0, '3089de64cb64161c89ebfff67f40a3b47953e447f1e6a4eb20445c4735814c20', {}),
     'approx-er-width': (0, '25c3bb4b2a6ba8ba684fc2debc24fc96cb190ad27505239ba93eafc96559fa2e', {}),
     'cutsets-exact-node': (0, 'e8cc744363c736b8408de0a45a7b3dbeeefc66db7c5dc8a8efe5ea6b5330fd65', {}),
     'cutsets-exact-link': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {

@@ -91,6 +91,14 @@ class TestDegreeDistribution:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             degree_distribution(Graph(0))
+        with pytest.raises(ValueError):
+            Graph(0).degree_distribution()
+
+    def test_cached_on_the_graph(self):
+        g = star_graph(5)
+        d = g.degree_distribution()
+        assert g.degree_distribution() is d
+        assert d.degree_counts == degree_distribution(g).degree_counts
 
     def test_pgf_normalization(self):
         for g in (star_graph(5), cycle_graph(6), path_graph(4)):
