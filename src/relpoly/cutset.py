@@ -4,9 +4,9 @@ Sampling the C-form polynomial at n+1 interior probabilities gives a
 square linear system P C = 1 - curve, whose matrix rows are the Bernstein
 point weights (1-p_i)^j p_i^(n-j). Divided by p_i^n, row i becomes the
 Vandermonde row t_i^j in t_i = (1-p_i)/p_i, which conditions terribly as n
-grows; so the system is solved exactly, in rational arithmetic, by the
-O(n^2) Bjorck-Pereyra algorithm. Float probes and curve values enter as
-the binary rationals they are.
+grows; so the system is solved exactly, by Lagrange interpolation in
+integer arithmetic over one common denominator, with O(n^2) operations.
+Float probes and curve values enter as the binary rationals they are.
 """
 
 from __future__ import annotations
@@ -108,26 +108,48 @@ class CutCountRecovery:
 def _solve(system: ProbeSystem) -> list:
     """The exact solution C of P C = rhs, as Fractions.
 
-    Row i over p_i^n reads sum_j C_j t_i^j = rhs_i / p_i^n, a Vandermonde
-    system in t_i = (1-p_i)/p_i: Newton divided differences of the scaled
-    rhs, then their expansion into monomial coefficients (Bjorck & Pereyra,
-    Math. Comp. 24(112), 1970). A system that is not all-rational is read
-    at float(x) of each probe and rhs entry.
+    With p_i = a_i/b_i in lowest terms and u_i = b_i - a_i, row i times
+    b_i^n reads Q(u_i, a_i) = rhs_i b_i^n for the form
+    Q(x, y) = sum_j C_j x^j y^(n-j). Lagrange interpolation in homogeneous
+    form gives Q = sum_i w_i L_i with the integer forms
+    L_i = prod_{k != i} (a_k x - u_k y) and w_i = rhs_i b_i^n / L_i(u_i, a_i).
+    Each L_i is the product of all n+1 factors divided by its own, and the
+    w_i are brought over one common denominator, so the sums run in
+    integers and each C_j costs one division at the end. A system that is
+    not all-rational is read at float(x) of each probe and rhs entry.
     """
     n = system.dimension
     read = Fraction if system.exact else (lambda x: Fraction(float(x)))
     probes = [read(p) for p in system.probes]
     if 0 in probes or len(set(probes)) < len(probes):
         raise ValueError("singular probe system: probes must be distinct and nonzero")
-    t = [(1 - p) / p for p in probes]
-    c = [read(r) / p**n for p, r in zip(probes, system.rhs)]
-    for k in range(n):
-        for i in range(n, k, -1):
-            c[i] = (c[i] - c[i - 1]) / (t[i] - t[i - k - 1])
-    for k in range(n - 1, -1, -1):
-        for i in range(k, n):
-            c[i] -= t[k] * c[i + 1]
-    return c
+    a = [p.numerator for p in probes]
+    u = [p.denominator - p.numerator for p in probes]
+    # m[j] is the coefficient of x^j y^(n+1-j) in prod_k (a_k x - u_k y)
+    m = [1]
+    for ak, uk in zip(a, u):
+        m = [ak * hi - uk * lo for hi, lo in zip([0] + m, m + [0])]
+    forms, nums, dens = [], [], []
+    for i, (p, r) in enumerate(zip(probes, system.rhs)):
+        # L_i by synthetic division of the product by a_i x - u_i y
+        form = [0] * (n + 1)
+        carry = m[n + 1]
+        for j in range(n, -1, -1):
+            form[j] = carry // a[i]
+            carry = m[j] + u[i] * form[j]
+        at_own = 1
+        for k in range(n + 1):
+            if k != i:
+                at_own *= u[i] * a[k] - a[i] * u[k]
+        r = read(r)
+        forms.append(form)
+        nums.append(r.numerator * p.denominator**n)
+        dens.append(r.denominator * at_own)
+    den = 1
+    for d in dens:
+        den = den // math.gcd(den, d) * d
+    scaled = [w * (den // d) for w, d in zip(nums, dens)]
+    return [Fraction(sum(s * form[j] for s, form in zip(scaled, forms)), den) for j in range(n + 1)]
 
 
 def recover_cut_counts(

@@ -24,7 +24,7 @@ def _seeded_generator(seed: int) -> np.random.Generator:
 class Graph:
     """Simple undirected graph: no self-loops, no parallel links, immutable."""
 
-    __slots__ = ("_n", "_adj", "_m", "_connected", "_degrees")
+    __slots__ = ("_n", "_adj", "_m", "_links", "_connected", "_degrees")
 
     def __init__(self, num_nodes: int, edges=()):
         if num_nodes < 0:
@@ -40,6 +40,7 @@ class Graph:
         self._n = num_nodes
         self._adj = tuple(tuple(sorted(s)) for s in sets)
         self._m = sum(len(s) for s in sets) // 2
+        self._links = None
         self._connected = None
         self._degrees = None
 
@@ -65,8 +66,15 @@ class Graph:
     def degrees(self):
         return tuple(len(nb) for nb in self._adj)
 
+    @property
+    def links(self):
+        """edges() as a tuple, built once per graph; link id i is links[i]."""
+        if self._links is None:
+            self._links = tuple(self.edges())
+        return self._links
+
     def edges(self):
-        """Sorted list of (u, v) pairs with u < v."""
+        """Sorted list of (u, v) pairs with u < v, a new list on every call."""
         return [(u, v) for u in range(self._n) for v in self._adj[u] if u < v]
 
     def has_link(self, u: int, v: int) -> bool:

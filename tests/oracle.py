@@ -3,6 +3,8 @@
 Everything here is written deliberately differently from the library:
 set-based DFS instead of bitmask BFS or union-find, direct float
 polynomial sums instead of log-space mixtures. Slow and obvious on purpose.
+The two union-find sweeps are the exception: they are the library's former
+Monte Carlo kernels, kept as the reference its shortcut sweeps must equal.
 """
 
 import math
@@ -111,6 +113,76 @@ def gauss_jordan_solve(rows, rhs):
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+def node_disconnection_into(adj, n: int, perm, out):
+    """Add 1 to out[j] for every j in 0..N whose residual is disconnected.
+
+    perm is the removal order; insertion proceeds from its tail. The residual
+    after j removals is connected iff exactly one component remains among the
+    N - j inserted nodes; the empty residual (j = N) is disconnected.
+
+    Plain reverse-insertion union-find (Newman & Ziff, PRL 85, 4104, 2000):
+    every inserted neighbour costs two finds, whatever the component count.
+    """
+    out[n] += 1
+    pos = [0] * n
+    for t in range(n):
+        pos[perm[t]] = t
+    parent = list(range(n))
+    size = [1] * n
+    ncomp = 0
+    for t in range(n - 1, -1, -1):
+        v = perm[t]
+        ncomp += 1
+        for u in adj[v]:
+            if pos[u] > t:
+                x = v
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                y = u
+                while parent[y] != y:
+                    parent[y] = parent[parent[y]]
+                    y = parent[y]
+                if x != y:
+                    if size[x] < size[y]:
+                        x, y = y, x
+                    parent[y] = x
+                    size[x] += size[y]
+                    ncomp -= 1
+        if ncomp != 1:
+            out[t] += 1
+
+
+def link_disconnection_into(edges, n: int, l: int, perm, out):
+    """Link analogue: all nodes present, links inserted in reverse removal order.
+
+    Inserts every link and tests the component count at every step.
+    """
+    if n != 1:
+        out[l] += 1
+    parent = list(range(n))
+    size = [1] * n
+    ncomp = n
+    for t in range(l - 1, -1, -1):
+        u, v = edges[perm[t]]
+        x = u
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        y = v
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y] = x
+            size[x] += size[y]
+            ncomp -= 1
+        if ncomp != 1:
+            out[t] += 1
 
 
 def union_find_component_count(graph):

@@ -45,6 +45,15 @@ class TestGraphBasics:
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
 
+    def test_links_cached_and_edges_fresh(self):
+        g = cycle_graph(5)
+        assert g.links is g.links
+        assert g.links == tuple(g.edges()) == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+        edges = g.edges()
+        edges.append((1, 4))
+        assert g.edges() is not edges
+        assert len(g.edges()) == g.num_links == len(g.links)
+
 
 class TestEdgeList:
     def test_parse_path(self):

@@ -5,6 +5,7 @@ import pytest
 
 from relpoly import (
     CutFractionEstimate,
+    Graph,
     complete_graph,
     cycle_graph,
     enumerate_link_coefficients,
@@ -14,6 +15,7 @@ from relpoly import (
     estimate_node_cut_fractions,
     family_node_coefficients,
     generate_er,
+    generate_lattice,
     laplace_curve,
     laplace_estimate,
     link_reliability,
@@ -24,8 +26,13 @@ from relpoly import (
     path_graph,
     star_graph,
 )
-from relpoly.montecarlo import _permutation, mix_seed
-from oracle import forward_deletion_profile, naive_connected
+from relpoly.montecarlo import _count_range, _permutation, mix_seed
+from oracle import (
+    forward_deletion_profile,
+    link_disconnection_into,
+    naive_connected,
+    node_disconnection_into,
+)
 
 GRID = tuple(i / 20 for i in range(21))
 
@@ -104,8 +111,106 @@ class TestProfiles:
             assert link_removal_profile(g, order) == expected
 
     def test_profile_validates_permutation(self):
-        with pytest.raises(ValueError):
-            node_removal_profile(path_graph(3), [0, 1])
+        # cycle:3 has 3 nodes and 3 links, so one order fits either profile
+        wrong_length = ([0, 1], [0, 1, 2, 0])
+        duplicate = ([0, 1, 1],)
+        out_of_range = ([0, 1, 3], [-1, 0, 1])
+        for profile in (node_removal_profile, link_removal_profile):
+            for order in wrong_length + duplicate + out_of_range:
+                with pytest.raises(ValueError, match="permutation"):
+                    profile(cycle_graph(3), order)
+
+
+def _oracle_node_flags(graph, order):
+    out = [0] * (graph.num_nodes + 1)
+    node_disconnection_into(graph.adjacency, graph.num_nodes, order, out)
+    return [bool(x) for x in out]
+
+
+def _oracle_link_flags(graph, order):
+    out = [0] * (graph.num_links + 1)
+    link_disconnection_into(graph.edges(), graph.num_nodes, graph.num_links, order, out)
+    return [bool(x) for x in out]
+
+
+def _sweep_graphs():
+    rng = np.random.Generator(np.random.PCG64(4104))
+    graphs = []
+    for _ in range(24):
+        # mean degree 0.5..12: sparse draws are disconnected, dense ones connected
+        n = int(rng.integers(30, 81))
+        pl = float(rng.uniform(0.5, 12.0)) / (n - 1)
+        graphs.append((f"er:{n},{pl:.3f}", generate_er(n, pl, int(rng.integers(1 << 32)))))
+    graphs += [
+        ("isolated:cycle+3", Graph(13, [(i, (i + 1) % 10) for i in range(10)])),
+        ("isolated:edge+5", Graph(7, [(2, 5)])),
+        ("isolated:er+4", Graph(44, generate_er(40, 0.15, 7).edges())),
+        ("path:40", path_graph(40)),
+        ("star:40", star_graph(40)),
+        ("lattice:6x7", generate_lattice((6, 7))),
+        ("lattice:3x3x4", generate_lattice((3, 3, 4))),
+        ("single", Graph(1)),
+        ("no-links:5", Graph(5)),
+    ]
+    return graphs
+
+
+SWEEP_GRAPHS = _sweep_graphs()
+
+
+def _oracle_counts(g, seed, runs):
+    """Node and link counts of runs 0..runs-1 by the plain kernels."""
+    n, l = g.num_nodes, g.num_links
+    node = [0] * (n + 1)
+    link = [0] * (l + 1)
+    for r in range(runs):
+        node_disconnection_into(g.adjacency, n, _permutation(n, mix_seed(seed, r)), node)
+        link_disconnection_into(g.edges(), n, l, _permutation(l, mix_seed(seed, r)), link)
+    return node, link
+
+
+class TestSweepsEqualOracle:
+    """The shortcut sweeps against the plain union-find kernels in tests/oracle.py."""
+
+    ORDERS = 40
+
+    @pytest.mark.parametrize("label,g", SWEEP_GRAPHS, ids=[x for x, _ in SWEEP_GRAPHS])
+    def test_node_profiles(self, label, g):
+        rng = np.random.Generator(np.random.PCG64(g.num_nodes))
+        for _ in range(self.ORDERS):
+            order = rng.permutation(g.num_nodes).tolist()
+            assert node_removal_profile(g, order) == _oracle_node_flags(g, order), label
+
+    @pytest.mark.parametrize("label,g", SWEEP_GRAPHS, ids=[x for x, _ in SWEEP_GRAPHS])
+    def test_link_profiles(self, label, g):
+        rng = np.random.Generator(np.random.PCG64(g.num_links))
+        for _ in range(self.ORDERS):
+            order = rng.permutation(g.num_links).tolist()
+            assert link_removal_profile(g, order) == _oracle_link_flags(g, order), label
+
+    @pytest.mark.parametrize("label,g", SWEEP_GRAPHS, ids=[x for x, _ in SWEEP_GRAPHS])
+    def test_run_counts(self, label, g):
+        n, l = g.num_nodes, g.num_links
+        node, link = _oracle_counts(g, 97, self.ORDERS)
+        assert _count_range("node", g.adjacency, n, l, 97, 0, self.ORDERS) == node, label
+        assert _count_range("link", g.links, n, l, 97, 0, self.ORDERS) == link, label
+
+    def test_link_profile_without_links(self):
+        assert link_removal_profile(Graph(1), []) == [False]
+        assert link_removal_profile(Graph(4), []) == [True]
+        assert link_removal_profile(Graph(0), []) == [True]
+
+    def test_node_profile_of_single_node(self):
+        assert node_removal_profile(Graph(1), [0]) == [False, True]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("g", [generate_er(20, 0.2, 11), generate_er(45, 0.08, 12)],
+                             ids=["er:20", "er:45"])
+    def test_estimates_equal_oracle_counts(self, g, workers):
+        # 120 runs are enough for two workers to split them over a pool
+        node, link = _oracle_counts(g, 31, 120)
+        assert estimate_node_cut_fractions(g, 120, 31, workers).counts == tuple(node)
+        assert estimate_link_cut_fractions(g, 120, 31, workers).counts == tuple(link)
 
 
 class TestCurves:
