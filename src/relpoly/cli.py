@@ -68,15 +68,30 @@ def _load_graph(args) -> tuple:
     return builder(args.n), f"{args.family}:{args.n}"
 
 
+def _probability_list(text: str) -> tuple:
+    """Type of --ps: a strictly increasing comma-separated grid in [0, 1];
+    raises UsageError at parse time, as `_worker_count` does."""
+    try:
+        pts = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--ps takes comma-separated numbers, got {text!r}") from None
+    if any(b <= a for a, b in zip(pts, pts[1:])):
+        raise UsageError("--ps must be strictly increasing")
+    if not all(0 <= p <= 1 for p in pts):
+        raise UsageError("--ps values must lie in [0, 1]")
+    return pts
+
+
+def _probe_list(text: str) -> list:
+    """Type of --probes: comma-separated numbers, fractions such as 1/7 exact."""
+    try:
+        return [Fraction(tok) if "/" in tok else float(tok) for tok in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--probes takes comma-separated numbers or fractions, got {text!r}") from None
+
+
 def _grid_from(args):
-    if getattr(args, "ps", None):
-        pts = tuple(float(x) for x in args.ps.split(","))
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise UsageError("--ps must be strictly increasing")
-        if any(p < 0 or p > 1 for p in pts):
-            raise UsageError("--ps values must lie in [0, 1]")
-        return pts
-    return probability_grid(args.grid)
+    return args.ps or probability_grid(args.grid)
 
 
 def _write(path, text):
@@ -266,10 +281,7 @@ def _cmd_cutsets(args):
         source = by_kind[args.kind](_coefficients(args, graph, args.kind))
     else:
         source = cutset.estimate_curve_source(_estimate(args, graph, args.kind))
-    probes = None
-    if args.probes:
-        probes = [Fraction(tok) if "/" in tok else float(tok) for tok in args.probes.split(",")]
-    system = cutset.build_probe_system(dim, source, probes)
+    system = cutset.build_probe_system(dim, source, args.probes)
     result = cutset.recover_cut_counts(system, rounding=not args.no_round)
     _write(args.out, result.to_json())
     return 0
@@ -346,7 +358,7 @@ def _add_graph_source(sub):
 
 def _add_grid(sub):
     sub.add_argument("--grid", type=int, default=101, help="equispaced grid size over [0,1] (default 101)")
-    sub.add_argument("--ps", help="explicit comma-separated grid, overrides --grid")
+    sub.add_argument("--ps", type=_probability_list, help="explicit comma-separated grid, overrides --grid")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--runs", type=int, default=100000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP)
-    s.add_argument("--probes", help="comma-separated probe list (fractions like 1/7 allowed)")
+    s.add_argument("--probes", type=_probe_list, help="comma-separated probe list (fractions like 1/7 allowed)")
     s.add_argument("--no-round", action="store_true", help="report raw solved values")
     s.add_argument("--workers", type=_worker_count)
     s.add_argument("--out")

@@ -177,11 +177,12 @@ def is_connected(graph: Graph, nodes) -> bool:
 def load_edge_list(text: str) -> Graph:
     """Parse "u v" lines into a Graph.
 
-    Blank lines and lines starting with '#' are skipped. Duplicate links
-    (including reversed duplicates) collapse to one. Node count is
+    Blank lines and lines starting with '#' are skipped. Node count is
     max id + 1, so unreferenced intermediate ids become degree-0 nodes.
+    Duplicate links (including reversed duplicates) collapse to one in
+    `Graph`.
     """
-    edges = set()
+    edges = []
     max_id = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -198,11 +199,9 @@ def load_edge_list(text: str) -> Graph:
             raise EdgeListFormatError(f"line {lineno}: negative node id")
         if u == v:
             raise EdgeListFormatError(f"line {lineno}: self-loop {u} {v} not allowed")
-        if u > v:
-            u, v = v, u
-        edges.add((u, v))
-        max_id = max(max_id, v)
-    return Graph(max_id + 1, sorted(edges))
+        edges.append((u, v))
+        max_id = max(max_id, u, v)
+    return Graph(max_id + 1, edges)
 
 
 def save_edge_list(graph: Graph) -> str:
@@ -284,31 +283,14 @@ def generate_lattice(dims) -> Graph:
         raise ValueError("lattice takes 2 or 3 dimensions")
     if any(d < 1 for d in dims):
         raise ValueError("lattice dimensions must be positive")
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides.reverse()
-    n = acc
-
-    def node_id(coord):
-        return sum(c * s for c, s in zip(coord, strides))
-
+    ids = np.arange(np.prod(dims)).reshape(dims)
     edges = []
-    def walk(coord, axis):
-        if axis == len(dims):
-            for a in range(len(dims)):
-                if coord[a] + 1 < dims[a]:
-                    nxt = list(coord)
-                    nxt[a] += 1
-                    edges.append((node_id(coord), node_id(nxt)))
-            return
-        for c in range(dims[axis]):
-            walk(coord + [c], axis + 1)
-
-    walk([], 0)
-    return Graph(n, edges)
+    for axis, d in enumerate(dims):
+        # each node to its successor along `axis`
+        head = ids.take(range(d - 1), axis=axis).ravel().tolist()
+        tail = ids.take(range(1, d), axis=axis).ravel().tolist()
+        edges += zip(head, tail)
+    return Graph(ids.size, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,7 @@ def _capacity_check(graph: Graph, k: int):
     free = math.comb(graph.num_nodes, 2) - graph.num_links
     if k > free:
         raise CapacityError(f"cannot add {k} links; only {free} node pairs are unlinked")
+    return free
 
 
 def _augment(graph: Graph, added) -> Graph:
@@ -94,36 +95,25 @@ def _greedy_addition(graph: Graph, k: int, descending: bool):
     _capacity_check(graph, k)
     n = graph.num_nodes
     adj = [set(nb) for nb in graph.adjacency]
-    deg = [len(s) for s in adj]
     added = []
     sign = -1 if descending else 1
     for _ in range(k):
-        order = sorted(range(n), key=lambda v: (sign * deg[v], v))
-        pair = None
-        for i in order:
-            for j in order:
-                if j != i and j not in adj[i]:
-                    pair = (min(i, j), max(i, j))
-                    break
-            if pair:
-                break
-        if pair is None:  # unreachable once the capacity check passed
-            raise CapacityError("no addable node pair remains")
-        u, v = pair
+        order = sorted(range(n), key=lambda v: (sign * len(adj[v]), v))
+        # the capacity check leaves a node that is not adjacent to everyone
+        u = next(i for i in order if len(adj[i]) < n - 1)
+        v = next(j for j in order if j != u and j not in adj[u])
         adj[u].add(v)
         adj[v].add(u)
-        deg[u] += 1
-        deg[v] += 1
-        added.append(pair)
+        added.append((min(u, v), max(u, v)))
     return added
 
 
 def greedy_lowest_degree_addition(graph: Graph, k: int):
     """Repeatedly link the two lowest-degree unlinked nodes (ties by id).
 
-    Degrees are refreshed after every single link. When the minimum-degree
-    node is already adjacent to everyone, the scan advances to the next
-    node in (degree, id) order.
+    Degrees are refreshed after every single link. The first node in
+    (degree, id) order that is not adjacent to everyone is linked to its
+    first non-neighbour in that order.
     """
     added = _greedy_addition(graph, k, descending=False)
     return _augment(graph, added), AugmentationPlan("lowest", k, tuple(added))
@@ -136,17 +126,19 @@ def highest_degree_addition(graph: Graph, k: int):
 
 
 def random_pairing_addition(graph: Graph, k: int, seed: int):
-    """k uniform draws without replacement from the unlinked node pairs."""
-    _capacity_check(graph, k)
+    """k uniform draws without replacement from the unlinked node pairs.
+
+    Draw r is the r-th unlinked pair in the order (0,1), (0,2), ...,
+    (N-2,N-1); pairs and positions in that order convert by arithmetic.
+    """
+    free = _capacity_check(graph, k)
     n = graph.num_nodes
-    taken = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        taken[u, u] = True
-        for v in graph.adjacency[u]:
-            taken[u, v] = True
-    iu, ju = np.triu_indices(n, k=1)
-    free = np.flatnonzero(~taken[iu, ju])
-    rng = _seeded_generator(seed)
-    chosen = rng.choice(free, size=k, replace=False)
-    added = sorted((int(iu[c]), int(ju[c])) for c in chosen)
+    starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # position of (u, u+1)
+    lo, hi = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
+    linked = starts[lo] + hi - lo - 1  # ascending: edges() lists links in this order
+    chosen = np.sort(_seeded_generator(seed).choice(free, size=k, replace=False))
+    # skip every linked pair at or below the answer
+    ranks = chosen + np.searchsorted(linked - np.arange(linked.size), chosen, side="right")
+    u = np.searchsorted(starts, ranks, side="right") - 1
+    added = list(zip(u.tolist(), (ranks - starts[u] + u + 1).tolist()))
     return _augment(graph, added), AugmentationPlan("random", k, tuple(added), seed=seed)

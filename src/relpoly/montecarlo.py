@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 
@@ -196,17 +197,23 @@ def _link_connection_threshold(edges, n: int, l: int, perm) -> int:
     return -1
 
 
-def _check_order(order, size: int, what: str):
+def _check_order(order, size: int, what: str) -> list:
+    """`order` as a list of ints, if it is a permutation of 0..size-1."""
+    message = f"removal order must be a permutation of all {what} ids"
+    try:
+        order = [operator.index(x) for x in order]
+    except TypeError:
+        raise ValueError(message) from None
     # O(size), unlike sorting: with as many ids as elements, equal sets leave
     # no room for a duplicate or an out-of-range id
     if len(order) != size or set(order) != set(range(size)):
-        raise ValueError(f"removal order must be a permutation of all {what} ids")
+        raise ValueError(message)
+    return order
 
 
 def node_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..N under one explicit removal order."""
-    order = list(removal_order)
-    _check_order(order, graph.num_nodes, "node")
+    order = _check_order(removal_order, graph.num_nodes, "node")
     out = [0] * (graph.num_nodes + 1)
     _node_disconnection_into(graph.adjacency, graph.num_nodes, order, out)
     return [bool(x) for x in out]
@@ -214,9 +221,8 @@ def node_removal_profile(graph: Graph, removal_order) -> list:
 
 def link_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..L removed links, nodes always present."""
-    order = list(removal_order)
     l = graph.num_links
-    _check_order(order, l, "link")
+    order = _check_order(removal_order, l, "link")
     last = _link_connection_threshold(graph.links, graph.num_nodes, l, order)
     return [False] * (last + 1) + [True] * (l - last)
 

@@ -5,13 +5,18 @@ set-based DFS instead of bitmask BFS or union-find, direct float
 polynomial sums instead of log-space mixtures. Slow and obvious on purpose.
 The two union-find sweeps are the exception: they are the library's former
 Monte Carlo kernels, kept as the reference its shortcut sweeps must equal.
+So are the two link-addition searches, the library's former pair scan and
+its draw from a table of every unlinked pair.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from relpoly import Graph
+from relpoly.graph import _seeded_generator
 
 
 def naive_connected(graph, subset) -> bool:
@@ -209,3 +214,48 @@ def union_find_component_count(graph):
 
 def binom_sd(fraction, runs):
     return math.sqrt(max(fraction * (1 - fraction), 0.0) / runs)
+
+
+def greedy_addition(graph, k: int, descending: bool):
+    """k links by the degree rule: scan pairs in (degree, id) order, the
+    degree taken ascending or descending, and link the first unlinked one."""
+    n = graph.num_nodes
+    adj = [set(nb) for nb in graph.adjacency]
+    deg = [len(s) for s in adj]
+    added = []
+    sign = -1 if descending else 1
+    for _ in range(k):
+        order = sorted(range(n), key=lambda v: (sign * deg[v], v))
+        pair = None
+        for i in order:
+            for j in order:
+                if j != i and j not in adj[i]:
+                    pair = (min(i, j), max(i, j))
+                    break
+            if pair:
+                break
+        if pair is None:
+            raise ValueError("no addable node pair remains")
+        u, v = pair
+        adj[u].add(v)
+        adj[v].add(u)
+        deg[u] += 1
+        deg[v] += 1
+        added.append(pair)
+    return added
+
+
+def random_pairing(graph, k: int, seed: int):
+    """k draws without replacement from an explicit table of the unlinked
+    pairs, built from an N x N adjacency matrix; O(N^2) memory."""
+    n = graph.num_nodes
+    taken = np.zeros((n, n), dtype=bool)
+    for u in range(n):
+        taken[u, u] = True
+        for v in graph.adjacency[u]:
+            taken[u, v] = True
+    iu, ju = np.triu_indices(n, k=1)
+    free = np.flatnonzero(~taken[iu, ju])
+    rng = _seeded_generator(seed)
+    chosen = rng.choice(free, size=k, replace=False)
+    return sorted((int(iu[c]), int(ju[c])) for c in chosen)

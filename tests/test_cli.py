@@ -220,6 +220,16 @@ class TestUsageErrors:
     def test_missing_input_file(self, tmp_path):
         assert run_cli(["exact", "--input", tmp_path / "absent.edges"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--family", "path", "--n", 3, "--ps", "0.1,abc"],
+        ["cutsets", "--family", "path", "--n", 3, "--probes", "1/0,0.2,0.5,0.7"],
+        ["cutsets", "--family", "path", "--n", 3, "--probes", "0.1,x,0.5,0.7"],
+    ], ids=["ps-not-a-number", "probes-zero-denominator", "probes-not-a-number"])
+    def test_malformed_number_is_usage_error(self, capsys, argv):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and argv[-2] in err
+
 
 MC_COMMANDS = (
     ["mc", "--family", "cycle", "--n", 5, "--runs", 20],

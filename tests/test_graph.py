@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -63,6 +64,12 @@ class TestEdgeList:
     def test_comment_and_reverse_duplicate(self):
         g = load_edge_list("# comment\n0 1\n1 0")
         assert (g.num_nodes, g.num_links) == (2, 1)
+        # shuffled lines, each link repeated in both orientations
+        links = generate_er(30, 0.2, 5).edges()
+        lines = [f"{u} {v}" for u, v in links] + [f"{v} {u}" for u, v in links] * 2
+        np.random.Generator(np.random.PCG64(5)).shuffle(lines)
+        unique = "".join(f"{u} {v}\n" for u, v in links)
+        assert save_edge_list(load_edge_list("\n".join(lines))) == unique
 
     def test_self_loop_rejected_with_line_number(self):
         with pytest.raises(EdgeListFormatError, match="line 1"):
@@ -228,6 +235,19 @@ class TestGenerators:
     def test_lattice_3d(self):
         g = generate_lattice((2, 2, 2))
         assert (g.num_nodes, g.num_links) == (8, 12)
+
+    @pytest.mark.parametrize(
+        "dims",
+        list(itertools.product(range(1, 6), repeat=2)) + list(itertools.product(range(1, 4), repeat=3)),
+        ids=lambda dims: "x".join(map(str, dims)),
+    )
+    def test_lattice_matches_networkx(self, dims):
+        import networkx as nx
+
+        # grid_graph lists the axes last first; sorted node tuples are then
+        # the row-major order of `dims`
+        grid = nx.convert_node_labels_to_integers(nx.grid_graph(dim=dims[::-1]), ordering="sorted")
+        assert generate_lattice(dims) == Graph(grid.number_of_nodes(), grid.edges())
 
     def test_lattice_degenerate_is_path(self):
         assert generate_lattice((1, 5)) == path_graph(5)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from relpoly import (
     star_graph,
 )
 from relpoly.kgrip import objective, restructuring_delta
+from oracle import greedy_addition, random_pairing
 
 GRID = tuple((i + 1) / 20 for i in range(19))
 
@@ -180,6 +182,50 @@ class TestRandomPairing:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             random_pairing_addition(complete_graph(4), 1, seed=0)
+
+
+def _oracle_cases():
+    """Seeded ER graphs, n = 2..40 at link probabilities 0..1, with k = 1, 3
+    and every free pair."""
+    for n in range(2, 41):
+        for i, pl in enumerate((0.0, 0.1, 0.3, 0.6, 0.9, 1.0)):
+            g = generate_er(n, pl, 100 * n + i)
+            free = math.comb(n, 2) - g.num_links
+            for k in sorted({1, 3, free}):
+                if 1 <= k <= free:
+                    yield g, k
+
+
+class TestPlansEqualOracle:
+    def test_greedy_strategies(self):
+        for g, k in _oracle_cases():
+            assert list(greedy_lowest_degree_addition(g, k)[1].added) == greedy_addition(g, k, False)
+            assert list(highest_degree_addition(g, k)[1].added) == greedy_addition(g, k, True)
+
+    def test_random_pairing(self):
+        for g, k in _oracle_cases():
+            for seed in (0, 1, 2**63 + 5):
+                assert list(random_pairing_addition(g, k, seed)[1].added) == random_pairing(g, k, seed)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_random_pairing_many_free_pairs(self, n):
+        # more than 10,000 free pairs and a small k take numpy's set-based draw
+        for pl in (0.0, 0.01, 0.1):
+            g = generate_er(n, pl, n)
+            for k in (1, 7, 100):
+                for seed in (0, 1, 2):
+                    assert list(random_pairing_addition(g, k, seed)[1].added) == random_pairing(g, k, seed)
+
+    def test_random_pairing_memory_is_linear(self):
+        # a table of every pair would hold C(5000, 2) = 12.5M entries
+        g = cycle_graph(5000)
+        tracemalloc.start()
+        try:
+            random_pairing_addition(g, 100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestStrategyOrdering:

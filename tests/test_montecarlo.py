@@ -115,10 +115,12 @@ class TestProfiles:
         wrong_length = ([0, 1], [0, 1, 2, 0])
         duplicate = ([0, 1, 1],)
         out_of_range = ([0, 1, 3], [-1, 0, 1])
+        not_integers = ([0.0, 1, 2],)
         for profile in (node_removal_profile, link_removal_profile):
-            for order in wrong_length + duplicate + out_of_range:
+            for order in wrong_length + duplicate + out_of_range + not_integers:
                 with pytest.raises(ValueError, match="permutation"):
                     profile(cycle_graph(3), order)
+            assert profile(cycle_graph(3), np.array([2, 0, 1])) == profile(cycle_graph(3), [2, 0, 1])
 
 
 def _oracle_node_flags(graph, order):
