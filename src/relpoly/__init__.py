@@ -74,7 +74,6 @@ from .kgrip import (
 from .montecarlo import (
     CutFractionEstimate,
     estimate_link_cut_fractions,
-    estimate_link_reliability_curve,
     estimate_node_cut_fractions,
     laplace_curve,
     laplace_estimate,

@@ -70,7 +70,7 @@ def _load_graph(args) -> tuple:
 
 def _probability_list(text: str) -> tuple:
     """Type of --ps: a strictly increasing comma-separated grid in [0, 1];
-    raises UsageError at parse time, as `_worker_count` does."""
+    raises UsageError at parse time, as `_count` does."""
     try:
         pts = tuple(float(x) for x in text.split(","))
     except ValueError:
@@ -113,13 +113,18 @@ def _emit_curve(curve: Curve, args, label):
         _write(args.out + ".meta.json", out.metadata_json())
 
 
-def _worker_count(text: str) -> int:
-    """Type of every --workers flag, checked at parse time whether or not
-    the command runs Monte Carlo. argparse rewrites only ArgumentTypeError,
-    TypeError and ValueError, so the UsageError reaches `main` (exit 2)."""
-    if not text.isdecimal() or int(text) < 1:
-        raise UsageError(f"--workers must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _count(flag: str, least: int):
+    """Type of an integer flag that must be at least `least` (--workers,
+    --runs, --grid, --k), checked at parse time whether or not the command
+    uses it. argparse rewrites only ArgumentTypeError, TypeError and
+    ValueError, so the UsageError reaches `main` (exit 2)."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise UsageError(f"{flag} must be an integer of at least {least}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _workers(args):
@@ -357,7 +362,7 @@ def _add_graph_source(sub):
 
 
 def _add_grid(sub):
-    sub.add_argument("--grid", type=int, default=101, help="equispaced grid size over [0,1] (default 101)")
+    sub.add_argument("--grid", type=_count("--grid", 2), default=101, help="equispaced grid size over [0,1] (default 101)")
     sub.add_argument("--ps", type=_probability_list, help="explicit comma-separated grid, overrides --grid")
 
 
@@ -394,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(s)
     _add_grid(s)
     s.add_argument("--kind", choices=("node", "link"), default="node")
-    s.add_argument("--runs", type=int, default=100000)
+    s.add_argument("--runs", type=_count("--runs", 1), default=100000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=_worker_count, help="worker processes (RELPOLY_THREADS caps this)")
+    s.add_argument("--workers", type=_count("--workers", 1), help="worker processes (RELPOLY_THREADS caps this)")
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_mc)
 
@@ -405,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(s)
     s.add_argument("--source", choices=("exact", "mc"), default="exact")
     s.add_argument("--basis", choices=("s", "c"), default="c")
-    s.add_argument("--runs", type=int, default=100000)
+    s.add_argument("--runs", type=_count("--runs", 1), default=100000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP)
-    s.add_argument("--workers", type=_worker_count)
+    s.add_argument("--workers", type=_count("--workers", 1))
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_laplace)
 
@@ -434,18 +439,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(s)
     s.add_argument("--kind", choices=("node", "link"), default="node")
     s.add_argument("--source", choices=("exact", "mc"), default="exact")
-    s.add_argument("--runs", type=int, default=100000)
+    s.add_argument("--runs", type=_count("--runs", 1), default=100000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP)
     s.add_argument("--probes", type=_probe_list, help="comma-separated probe list (fractions like 1/7 allowed)")
     s.add_argument("--no-round", action="store_true", help="report raw solved values")
-    s.add_argument("--workers", type=_worker_count)
+    s.add_argument("--workers", type=_count("--workers", 1))
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_cutsets)
 
     s = subs.add_parser("kgrip", help="add k links by a named strategy and report the objective")
     _add_graph_source(s)
-    s.add_argument("--k", type=int, required=True)
+    s.add_argument("--k", type=_count("--k", 1), required=True)
     s.add_argument("--strategy", choices=("lowest", "highest", "random"), default="lowest")
     s.add_argument("--seed", type=int, default=0, help="seed for --strategy random")
     s.add_argument("--p", type=float, default=0.5)

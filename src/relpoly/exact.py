@@ -248,11 +248,6 @@ def link_reliability(coeffs: ReliabilityCoefficients, p: float) -> float:
     return _reliability(coeffs, "link", p)
 
 
-def node_curve_value_exact(coeffs: ReliabilityCoefficients, p):
-    """S-form value in exact rational arithmetic (p may be a Fraction)."""
-    return _reliability(coeffs, "node", p, exact=True)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for the six named families
 
@@ -326,19 +321,3 @@ def family_node_coefficients(family: str, n: int) -> ReliabilityCoefficients:
         for k in range(3, n + 1):
             s[k] = math.comb(n - 2, k - 1) + math.comb(n - 3, k - 3)
     return ReliabilityCoefficients.node(n, s)
-
-
-def cycle_rational_form(n: int, p: float) -> float:
-    """Quotient form of the cycle polynomial; undefined at p = 1/2."""
-    if p == 0.5:
-        raise ValueError("rational cycle form has a removable pole at p = 1/2")
-    q = 1.0 - p
-    return n * p * (p**n - q**n) / (2 * p - 1) - (n - 1) * p**n
-
-
-def path_rational_form(n: int, p: float) -> float:
-    """Quotient form of the path polynomial; undefined at p = 1/2."""
-    if p == 0.5:
-        raise ValueError("rational path form has a removable pole at p = 1/2")
-    q = 1.0 - p
-    return (n * p * q ** (n + 1) - (n + 1) * p * p * q**n + p ** (n + 2)) / (1 - 2 * p) ** 2

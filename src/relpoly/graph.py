@@ -30,13 +30,17 @@ class Graph:
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
         sets = [set() for _ in range(num_nodes)]
-        for u, v in edges:
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"link ({u}, {v}) out of range for {num_nodes} nodes")
-            if u == v:
-                raise ValueError(f"self-loop at node {u} not allowed")
-            sets[u].add(v)
-            sets[v].add(u)
+        try:
+            for u, v in edges:
+                if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                    raise ValueError(f"link ({u}, {v}) out of range for {num_nodes} nodes")
+                if u == v:
+                    raise ValueError(f"self-loop at node {u} not allowed")
+                # a node id that is not an integer fails to index `sets`
+                sets[u].add(v)
+                sets[v].add(u)
+        except TypeError as err:
+            raise ValueError(f"links must be pairs of integer node ids: {err}") from None
         self._n = num_nodes
         self._adj = tuple(tuple(sorted(s)) for s in sets)
         self._m = sum(len(s) for s in sets) // 2
@@ -213,35 +217,81 @@ def save_edge_list(graph: Graph) -> str:
 # generators
 
 
+# pairs per block of _pair_blocks, whole rows each: bounds the per-pair
+# arrays of generate_er and generate_rgg at a few MiB whatever N is
+_PAIR_BLOCK = 1 << 18
+
+
+def _pair_blocks(n: int):
+    """The pairs (0,1), (0,2), ..., (n-2,n-1) in that order, as (iu, ju) arrays.
+
+    Each block is a run of whole rows (row i holds the n-1-i pairs (i, j > i))
+    with at most _PAIR_BLOCK pairs, or a single row that alone holds more.
+    """
+    first = 0
+    while first < n - 1:
+        last, count = first + 1, n - 1 - first
+        while last < n - 1 and count + n - 1 - last <= _PAIR_BLOCK:
+            count += n - 1 - last
+            last += 1
+        rows = np.arange(first, last)
+        lengths = n - 1 - rows
+        iu = np.repeat(rows, lengths)
+        # the pair at offset t of the block, in row i starting at offset
+        # start_i, has j = t - start_i + i + 1
+        start = np.cumsum(lengths) - lengths
+        yield iu, np.arange(count) - np.repeat(start - rows - 1, lengths)
+        first = last
+
+
+def _graph_of_kept_pairs(num_nodes: int, keep) -> Graph:
+    """Graph linking the pairs of _pair_blocks(num_nodes) that `keep(iu, ju)`
+    marks True. Kept heads and tails are joined once, at the end."""
+    heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for iu, ju in _pair_blocks(num_nodes):
+        mask = keep(iu, ju)
+        heads.append(iu[mask])
+        tails.append(ju[mask])
+    return Graph(num_nodes, zip(np.concatenate(heads).tolist(), np.concatenate(tails).tolist()))
+
+
 def generate_er(num_nodes: int, link_probability: float, seed: int) -> Graph:
     """Erdos-Renyi G(N, p_l): every pair linked independently.
 
     Pairs are examined in the fixed order (0,1), (0,2), ..., (N-2,N-1), one
-    uniform draw per pair, so a seed pins the graph exactly.
+    uniform draw per pair, so a seed pins the graph exactly. Cost: O(N^2)
+    pair checks in O(block + L) memory, the pairs taken in blocks of rows.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be positive")
     if not 0.0 <= link_probability <= 1.0:
         raise ValueError("link probability must lie in [0, 1]")
     rng = _seeded_generator(seed)
-    iu, ju = np.triu_indices(num_nodes, k=1)
-    mask = rng.random(iu.size) < link_probability
-    return Graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
+    # one double per pair, block after block: the same stream as a single draw
+    return _graph_of_kept_pairs(num_nodes, lambda iu, ju: rng.random(iu.size) < link_probability)
 
 
 def generate_rgg(num_nodes: int, radius: float, seed: int) -> Graph:
     """Random geometric graph: N uniform points in the unit square, link iff
-    their Euclidean distance is strictly below `radius`. No wraparound."""
+    their Euclidean distance is strictly below `radius`. No wraparound.
+
+    Cost: O(N^2) pair checks in O(block + L) memory, the pairs taken in
+    blocks of rows.
+    """
     if num_nodes < 1:
         raise ValueError("num_nodes must be positive")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rng = _seeded_generator(seed)
     pts = rng.random((num_nodes, 2))
-    iu, ju = np.triu_indices(num_nodes, k=1)
-    d2 = np.sum((pts[iu] - pts[ju]) ** 2, axis=1)
-    mask = d2 < radius * radius
-    return Graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+
+    def within(iu, ju):
+        dx = x[iu] - x[ju]
+        dy = y[iu] - y[ju]
+        return dx * dx + dy * dy < radius * radius
+
+    return _graph_of_kept_pairs(num_nodes, within)
 
 
 def generate_ba(num_nodes: int, links_per_step: int, seed: int) -> Graph:

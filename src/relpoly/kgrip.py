@@ -47,13 +47,6 @@ class AugmentationPlan:
             payload["seed"] = self.seed
         return json.dumps(payload, sort_keys=True) + "\n"
 
-    def degree_changes(self, num_nodes: int) -> tuple:
-        a = [0] * num_nodes
-        for u, v in self.added:
-            a[u] += 1
-            a[v] += 1
-        return tuple(a)
-
 
 def objective(graph: Graph, p: float) -> float:
     """1 - phi_D(1-p), the shared increasing core of both reliability surrogates."""

@@ -320,15 +320,6 @@ def link_reliability_curve(est: CutFractionEstimate, grid) -> Curve:
     return _reliability_curve(est, grid, "link")
 
 
-def estimate_link_reliability_curve(
-    graph: Graph, runs: int, seed: int, grid, workers: int | None = None
-) -> Curve:
-    """Convenience: estimate link cut fractions, then evaluate their curve."""
-    return link_reliability_curve(
-        estimate_link_cut_fractions(graph, runs, seed, workers), grid
-    )
-
-
 # ---------------------------------------------------------------------------
 # Laplace concentration estimate
 

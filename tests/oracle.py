@@ -6,7 +6,11 @@ polynomial sums instead of log-space mixtures. Slow and obvious on purpose.
 The two union-find sweeps are the exception: they are the library's former
 Monte Carlo kernels, kept as the reference its shortcut sweeps must equal.
 So are the two link-addition searches, the library's former pair scan and
-its draw from a table of every unlinked pair.
+its draw from a table of every unlinked pair, and the two random-graph
+generators that built every candidate pair at once. The last few helpers
+are read only by tests: quotient forms of the cycle and path polynomials,
+an exact rational evaluation, a plan's degree changes and a one-call link
+curve estimate.
 """
 
 import math
@@ -15,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from relpoly import Graph
+from relpoly import Graph, estimate_link_cut_fractions, link_reliability_curve
 from relpoly.graph import _seeded_generator
 
 
@@ -259,3 +263,58 @@ def random_pairing(graph, k: int, seed: int):
     rng = _seeded_generator(seed)
     chosen = rng.choice(free, size=k, replace=False)
     return sorted((int(iu[c]), int(ju[c])) for c in chosen)
+
+
+def triu_er(num_nodes: int, link_probability: float, seed: int):
+    """G(N, p_l) from one draw over every pair of np.triu_indices: O(N^2) memory."""
+    rng = _seeded_generator(seed)
+    iu, ju = np.triu_indices(num_nodes, k=1)
+    mask = rng.random(iu.size) < link_probability
+    return Graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
+
+
+def triu_rgg(num_nodes: int, radius: float, seed: int):
+    """Random geometric graph from the distances of every np.triu_indices pair."""
+    rng = _seeded_generator(seed)
+    pts = rng.random((num_nodes, 2))
+    iu, ju = np.triu_indices(num_nodes, k=1)
+    d2 = np.sum((pts[iu] - pts[ju]) ** 2, axis=1)
+    mask = d2 < radius * radius
+    return Graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
+
+
+def cycle_rational_form(n: int, p: float) -> float:
+    """Quotient form of the cycle polynomial; undefined at p = 1/2."""
+    if p == 0.5:
+        raise ValueError("rational cycle form has a removable pole at p = 1/2")
+    q = 1.0 - p
+    return n * p * (p**n - q**n) / (2 * p - 1) - (n - 1) * p**n
+
+
+def path_rational_form(n: int, p: float) -> float:
+    """Quotient form of the path polynomial; undefined at p = 1/2."""
+    if p == 0.5:
+        raise ValueError("rational path form has a removable pole at p = 1/2")
+    q = 1.0 - p
+    return (n * p * q ** (n + 1) - (n + 1) * p * p * q**n + p ** (n + 2)) / (1 - 2 * p) ** 2
+
+
+def node_curve_value_exact(coeffs, p):
+    """S-form value sum_k S_k p^k (1-p)^(N-k) in Fraction arithmetic."""
+    p = Fraction(p)
+    n = coeffs.num_nodes
+    return sum(s * p**k * (1 - p) ** (n - k) for k, s in enumerate(coeffs.connected_counts))
+
+
+def degree_changes(plan, num_nodes: int) -> tuple:
+    """Links each node gains from an augmentation plan."""
+    a = [0] * num_nodes
+    for u, v in plan.added:
+        a[u] += 1
+        a[v] += 1
+    return tuple(a)
+
+
+def estimate_link_reliability_curve(graph, runs: int, seed: int, grid, workers=None):
+    """Estimate link cut fractions, then evaluate their curve on `grid`."""
+    return link_reliability_curve(estimate_link_cut_fractions(graph, runs, seed, workers), grid)

@@ -237,6 +237,54 @@ MC_COMMANDS = (
     ["cutsets", "--family", "cycle", "--n", 5, "--source", "mc", "--runs", 20],
 )
 
+# every command with a --grid flag
+GRID_COMMANDS = (
+    ["exact", "--family", "cycle", "--n", 5],
+    ["closed-form", "--family", "cycle", "--n", 5],
+    MC_COMMANDS[0],
+    ["laplace", "--family", "cycle", "--n", 5],
+    ["approx", "stochastic", "--family", "cycle", "--n", 5],
+)
+
+
+class TestCountFlags:
+    """--runs, --grid and --k below their least value are usage errors that
+    name the flag, caught at parse time like --workers."""
+
+    @pytest.mark.parametrize("value", [0, -1, "1.5", "many"])
+    @pytest.mark.parametrize("argv", MC_COMMANDS, ids=lambda a: a[0])
+    def test_runs_below_one(self, capsys, argv, value):
+        # the last --runs wins, so this overrides the command's own
+        assert run_cli(argv + ["--runs", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--runs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["laplace", "--family", "cycle", "--n", 5, "--source", "exact"],
+        ["cutsets", "--family", "path", "--n", 4, "--source", "exact"],
+    ], ids=lambda a: a[0])
+    def test_runs_checked_without_monte_carlo(self, capsys, argv):
+        assert run_cli(argv + ["--runs", 0]) == 2
+        assert "--runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, 1, -3, "2.5"])
+    @pytest.mark.parametrize("argv", GRID_COMMANDS, ids=lambda a: "-".join(a[:2]) if a[0] == "approx" else a[0])
+    def test_grid_below_two(self, capsys, argv, value):
+        assert run_cli(argv + ["--grid", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--grid" in err
+
+    def test_grid_of_two_runs(self, capsys):
+        assert run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 2]) == 0
+        assert capsys.readouterr().out.count("\n") == 3  # header and two points
+
+    @pytest.mark.parametrize("strategy", ["lowest", "highest", "random"])
+    @pytest.mark.parametrize("value", [0, -1, "two"])
+    def test_k_below_one(self, capsys, strategy, value):
+        assert run_cli(["kgrip", "--family", "path", "--n", 5, "--strategy", strategy, "--k", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--k" in err
+
 
 class TestWorkerSettings:
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])

@@ -21,18 +21,16 @@ from relpoly import (
     star_graph,
     star_pendant_graph,
 )
-from relpoly.exact import (
-    cycle_rational_form,
-    node_curve_value_exact,
-    path_rational_form,
-)
 from relpoly.graph import FAMILIES
 from oracle import (
     brute_connected_counts,
     brute_cut_counts,
     brute_link_kept_counts,
+    cycle_rational_form,
     direct_link_polynomial,
     direct_node_polynomial,
+    node_curve_value_exact,
+    path_rational_form,
 )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from relpoly import (
     save_edge_list,
     star_graph,
 )
-from oracle import union_find_component_count
+from relpoly import graph as graph_module
+from relpoly.graph import _pair_blocks
+from oracle import triu_er, triu_rgg, union_find_component_count
 
 
 class TestGraphBasics:
@@ -38,6 +41,12 @@ class TestGraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("link", [(0.0, 1), (0, 1.0), (0, 1.5), ("0", 1), (None, 1), 5],
+                             ids=["float-head", "float-tail", "fraction", "str", "none", "not-a-pair"])
+    def test_rejects_non_integer_ids(self, link):
+        with pytest.raises(ValueError, match="integer node ids"):
+            Graph(3, [link])
 
     def test_adjacency_symmetric_and_sorted(self):
         g = Graph(4, [(3, 0), (2, 0), (1, 0)])
@@ -268,3 +277,63 @@ class TestGenerators:
             assert all(u != v for u, v in g.edges())
             assert len(set(g.edges())) == g.num_links
             assert sum(g.degrees()) == 2 * g.num_links
+
+
+def _generator_corpus():
+    """(N, p_l, r, seed) cases for the block generators against the oracles:
+    every N up to 12, N that span several blocks, and p_l and r at both
+    extremes (r > sqrt 2 links every pair) and at random."""
+    rng = np.random.Generator(np.random.PCG64(606))
+    cases = []
+    for n in list(range(1, 13)) + [100, 724, 725, 1023, 1500, 2048]:
+        seed = int(rng.integers(1 << 63))
+        cases.append(pytest.param(n, 0.0, 0.0, seed, id=f"N{n}-empty"))
+        if n <= 725:  # complete graphs: two blocks at N = 725
+            cases.append(pytest.param(n, 1.0, 1.5, seed, id=f"N{n}-complete"))
+        # random p_l and r; sparse above N = 100 to keep the graphs cheap
+        scale = 1.0 if n <= 100 else 10.0 / n
+        pl, r = scale * float(rng.random()), math.sqrt(2 * scale) * float(rng.random())
+        cases.append(pytest.param(n, pl, r, seed, id=f"N{n}-random"))
+    return cases
+
+
+class TestBlockGenerators:
+    @pytest.mark.parametrize("n, pl, r, seed", _generator_corpus())
+    def test_equal_to_triu_oracles(self, n, pl, r, seed):
+        assert generate_er(n, pl, seed) == triu_er(n, pl, seed)
+        assert generate_rgg(n, r, seed) == triu_rgg(n, r, seed)
+
+    @pytest.mark.parametrize("block", [1, 6, 117, 2997, graph_module._PAIR_BLOCK])
+    def test_pair_blocks_are_whole_rows_in_order(self, monkeypatch, block):
+        monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
+        for n in (1, 2, 3, 5, 60, 1500):
+            blocks = list(_pair_blocks(n))
+            iu, ju = np.triu_indices(n, k=1)
+            assert np.array_equal(np.concatenate([b[0] for b in blocks] + [iu[:0]]), iu)
+            assert np.array_equal(np.concatenate([b[1] for b in blocks] + [ju[:0]]), ju)
+            for bi, bj in blocks:
+                assert bj[0] == bi[0] + 1 and bj[-1] == n - 1  # starts and ends a row
+                assert bi.size <= block or bi[0] == bi[-1]  # over the block only as one row
+
+    @pytest.mark.parametrize("block, n", [(6, 5), (117, 60), (2997, 1500)])
+    def test_block_full_at_a_row_end(self, monkeypatch, block, n):
+        # rows hold n-1, n-2, ... pairs; here some run of rows fills a block exactly
+        monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
+        assert block in [iu.size for iu, _ in _pair_blocks(n)]
+        cases = [(min(1.0, 10 / n), min(1.5, 3 / math.sqrt(n)))] + [(1.0, 1.5)] * (n <= 100)
+        for pl, r in cases:
+            assert generate_er(n, pl, 7) == triu_er(n, pl, 7)
+            assert generate_rgg(n, r, 7) == triu_rgg(n, r, 7)
+
+    def test_large_generators_trace_little_memory(self):
+        # the degree-large benchmark graphs; all pairs at once traced 298 and 572 MiB
+        n = 5000
+        pl = 1.5 * math.log(n) / n
+        for generate, x in ((generate_er, pl), (generate_rgg, math.sqrt(pl / math.pi))):
+            tracemalloc.start()
+            try:
+                generate(n, x, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, (generate.__name__, peak)

@@ -11,7 +11,6 @@ from relpoly import (
     enumerate_link_coefficients,
     enumerate_node_coefficients,
     estimate_link_cut_fractions,
-    estimate_link_reliability_curve,
     estimate_node_cut_fractions,
     family_node_coefficients,
     generate_er,
@@ -28,6 +27,7 @@ from relpoly import (
 )
 from relpoly.montecarlo import _count_range, _permutation, mix_seed
 from oracle import (
+    estimate_link_reliability_curve,
     forward_deletion_profile,
     link_disconnection_into,
     naive_connected,
