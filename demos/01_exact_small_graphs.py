@@ -1,8 +1,9 @@
 """Exact node reliability for small graphs.
 
-Enumerates the connected-subgraph counts S_k and cut-set counts C_j of a
-few named graphs by brute force, prints the coefficient vectors, and checks
-the closed-form expressions against the enumerated polynomial.
+Computes the connected-subgraph counts S_k and cut-set counts C_j of a few
+named graphs by the frontier dynamic program (its cost grows with the
+number of frontier states, not with 2^N), prints the coefficient vectors,
+and checks the closed-form expressions against the exact polynomial.
 """
 
 from relpoly import (

@@ -2,8 +2,9 @@
 
 Everything here needs only the degree distribution: the stochastic
 approximation (no-isolated-node surrogate raised to the surviving-node
-count), and the arithmetic/geometric first-order bounds. The Monte Carlo
-curve is the benchmark.
+count), and the arithmetic/geometric first-order isolation approximations
+(named upper bounds, but not bounds in general). The Monte Carlo curve is
+the benchmark.
 """
 
 from relpoly import (

@@ -1,9 +1,9 @@
 """Node and link reliability polynomials for simple undirected graphs.
 
-Exact enumeration at small sizes, Monte Carlo cut-fraction estimation,
-Laplace concentration estimates, degree-distribution approximations and
-bounds, closed forms for random-graph ensembles, cut-set count recovery,
-and reliability-driven link addition.
+Exact counts by frontier dynamic programming, Monte Carlo cut-fraction
+estimation, Laplace concentration estimates, degree-distribution
+approximations, closed forms for random-graph ensembles, cut-set count
+recovery, and reliability-driven link addition.
 """
 
 from .approx import (

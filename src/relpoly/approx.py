@@ -1,10 +1,11 @@
-"""Degree-based approximations, bounds, and random-graph ensemble formulas.
+"""Degree-based approximations and random-graph ensemble formulas.
 
 Everything here is computable from the degree distribution (or the model
 parameters) alone. The central quantity is the probability that a random
 surviving node is isolated, phi_D(1-p); treating isolation checks across
 nodes as independent yields the stochastic approximations and the two
-first-order bounds. All powers are taken in log space.
+first-order isolation approximations, which are named upper bounds but are
+not bounds in general. All powers are taken in log space.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ def power_relation_gap(node_curve: Curve, link_curve: Curve) -> float:
 def arithmetic_upper_bound(graph: Graph, p: float) -> float:
     """(1 - p phi_D(1-p))^N from the mean not-isolated probability.
 
+    An isolation approximation, not an upper bound in general: on the
+    3-node star K_(1,2) at p = 0.5 it gives (19/24)^3 = 0.496, while the
+    exact node reliability is 0.75. A lone survivor is isolated yet
+    connected, and the isolation events of neighbours are not independent.
     Cost is one pgf evaluation, O(#distinct degrees).
     """
     _check_probability(p)
@@ -80,7 +85,11 @@ def arithmetic_upper_bound(graph: Graph, p: float) -> float:
 
 
 def geometric_upper_bound(graph: Graph, p: float) -> float:
-    """prod_i (1 - p (1-p)^(d_i)), each node's own not-isolated probability."""
+    """prod_i (1 - p (1-p)^(d_i)), each node's own not-isolated probability.
+
+    An isolation approximation, not an upper bound in general: on the
+    3-node star K_(1,2) at p = 0.5 it gives 0.4921875, against an exact 0.75.
+    """
     _check_probability(p)
     q = 1.0 - p
     total = 0.0

@@ -115,8 +115,8 @@ def _emit_curve(curve: Curve, args, label):
 
 def _count(flag: str, least: int):
     """Type of an integer flag that must be at least `least` (--workers,
-    --runs, --grid, --k), checked at parse time whether or not the command
-    uses it. argparse rewrites only ArgumentTypeError, TypeError and
+    --runs, --grid, --k, --cap), checked at parse time whether or not the
+    command uses it. argparse rewrites only ArgumentTypeError, TypeError and
     ValueError, so the UsageError reaches `main` (exit 2)."""
 
     def parse(text: str) -> int:
@@ -366,6 +366,15 @@ def _add_grid(sub):
     sub.add_argument("--ps", type=_probability_list, help="explicit comma-separated grid, overrides --grid")
 
 
+def _add_cap(sub):
+    sub.add_argument(
+        "--cap",
+        type=_count("--cap", 1),
+        default=exact.DEFAULT_ENUMERATION_CAP,
+        help=f"largest N (L for link counts) the exact counts accept (default {exact.DEFAULT_ENUMERATION_CAP})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relpoly",
@@ -379,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_generate)
 
-    s = subs.add_parser("exact", help="enumerate coefficients and evaluate the exact curve")
+    s = subs.add_parser("exact", help="exact coefficients by frontier DP, and their curve")
     _add_graph_source(s)
     _add_grid(s)
     s.add_argument("--kind", choices=("node", "link"), default="node")
-    s.add_argument("--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP)
+    _add_cap(s)
     s.add_argument("--coeffs-out", help="also write the coefficient vectors as JSON")
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_exact)
@@ -412,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--basis", choices=("s", "c"), default="c")
     s.add_argument("--runs", type=_count("--runs", 1), default=100000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP)
+    _add_cap(s)
     s.add_argument("--workers", type=_count("--workers", 1))
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_laplace)
@@ -425,7 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(s)
     _add_grid(s)
     s.add_argument("--kind", choices=("node", "link"), default="node")
-    s.add_argument("--bound", choices=("arith", "geom"), default="arith")
+    s.add_argument(
+        "--bound",
+        choices=("arith", "geom"),
+        default="arith",
+        help="isolation approximation for the bounds method (not an upper bound in general)",
+    )
     s.add_argument("--pl", type=float, help="link probability for er methods")
     s.add_argument("--r", type=float, help="radius for rgg")
     s.add_argument("--n2", type=int, help="second model size for er-intersection")
@@ -441,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--source", choices=("exact", "mc"), default="exact")
     s.add_argument("--runs", type=_count("--runs", 1), default=100000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP)
+    _add_cap(s)
     s.add_argument("--probes", type=_probe_list, help="comma-separated probe list (fractions like 1/7 allowed)")
     s.add_argument("--no-round", action="store_true", help="report raw solved values")
     s.add_argument("--workers", type=_count("--workers", 1))

@@ -2,7 +2,7 @@
 
 
 class CapacityError(RuntimeError):
-    """A size cap was exceeded (exhaustive enumeration, probe system, link budget)."""
+    """A size cap was exceeded (exact counts, probe system, link budget)."""
 
 
 class EdgeListFormatError(ValueError):

@@ -7,7 +7,9 @@ The two union-find sweeps are the exception: they are the library's former
 Monte Carlo kernels, kept as the reference its shortcut sweeps must equal.
 So are the two link-addition searches, the library's former pair scan and
 its draw from a table of every unlinked pair, and the two random-graph
-generators that built every candidate pair at once. The last few helpers
+generators that built every candidate pair at once, and the two mask loops
+that checked all 2^N node subsets and all 2^L link subsets before the
+frontier dynamic program replaced them. The last few helpers
 are read only by tests: quotient forms of the cycle and path polynomials,
 an exact rational evaluation, a plan's degree changes and a one-call link
 curve estimate.
@@ -19,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from relpoly import Graph, estimate_link_cut_fractions, link_reliability_curve
+from relpoly import Graph, ReliabilityCoefficients, estimate_link_cut_fractions, link_reliability_curve
 from relpoly.graph import _seeded_generator
 
 
@@ -74,6 +76,70 @@ def brute_link_kept_counts(graph):
             if naive_connected(Graph(n, kept), range(n)):
                 f[j] += 1
     return f
+
+
+def neighbor_masks(graph):
+    masks = []
+    for nb in graph.adjacency:
+        m = 0
+        for u in nb:
+            m |= 1 << u
+        masks.append(m)
+    return masks
+
+
+def mask_connected(mask: int, nbr) -> bool:
+    # BFS over set bits; empty mask counts as disconnected, single bit as connected
+    if mask == 0:
+        return False
+    seen = mask & -mask
+    frontier = seen
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            b = m & -m
+            nxt |= nbr[b.bit_length() - 1]
+            m ^= b
+        nxt &= mask & ~seen
+        seen |= nxt
+        frontier = nxt
+    return seen == mask
+
+
+def mask_node_coefficients(graph):
+    """S_0..S_N by checking all 2^N induced subgraphs (the library's former
+    `enumerate_node_coefficients`)."""
+    n = graph.num_nodes
+    nbr = neighbor_masks(graph)
+    s = [0] * (n + 1)
+    for mask in range(1, 1 << n):
+        if mask_connected(mask, nbr):
+            s[mask.bit_count()] += 1
+    return ReliabilityCoefficients.node(n, s)
+
+
+def mask_link_coefficients(graph):
+    """F_0..F_L by checking all 2^L link subsets (the library's former
+    `enumerate_link_coefficients`)."""
+    n = graph.num_nodes
+    l = graph.num_links
+    edges = graph.edges()
+    everyone = (1 << n) - 1
+    f = [0] * (l + 1)
+    for kept in range(1 << l):
+        # neighbor masks of the graph keeping only the links in `kept`
+        nbr = [0] * n
+        m = kept
+        while m:
+            b = m & -m
+            u, v = edges[b.bit_length() - 1]
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+            m ^= b
+        if mask_connected(everyone, nbr):
+            f[l - kept.bit_count()] += 1
+    return ReliabilityCoefficients.link(n, l, f)
 
 
 def forward_deletion_profile(graph, removal_order):

@@ -14,9 +14,11 @@ from relpoly import (
     cycle_graph,
     er_intersection,
     er_node_reliability,
+    enumerate_node_coefficients,
     er_transition_width,
     generate_er,
     geometric_upper_bound,
+    node_reliability_s_form,
     power_relation_gap,
     rgg_node_reliability,
     star_graph,
@@ -115,6 +117,17 @@ class TestBounds:
         assert geometric_upper_bound(star_graph(3), 0.5) == pytest.approx(0.4921875, abs=1e-12)
         k2 = complete_graph(2)
         assert geometric_upper_bound(k2, 0.5) == pytest.approx(0.5625, abs=1e-12)
+
+    def test_not_upper_bounds_on_the_3_node_star(self):
+        # the 3-node star K_(1,2) at p = 1/2: both isolation approximations
+        # sit far below the exact node reliability p + 2p(1-p)^2 = 3/4
+        star = star_graph(3)
+        exact = node_reliability_s_form(enumerate_node_coefficients(star), 0.5)
+        assert exact == pytest.approx(0.75, abs=1e-12)
+        assert arithmetic_upper_bound(star, 0.5) == pytest.approx((19 / 24) ** 3, abs=1e-12)
+        assert geometric_upper_bound(star, 0.5) == pytest.approx(0.4921875, abs=1e-12)
+        assert arithmetic_upper_bound(star, 0.5) < exact
+        assert geometric_upper_bound(star, 0.5) < exact
 
     def test_vacuous_at_p_zero(self):
         g = cycle_graph(6)

@@ -247,9 +247,28 @@ GRID_COMMANDS = (
 )
 
 
+CAP_COMMANDS = [
+    ["exact", "--family", "cycle", "--n", 4],
+    ["laplace", "--family", "cycle", "--n", 4, "--source", "exact"],
+    ["cutsets", "--family", "cycle", "--n", 4, "--source", "exact"],
+]
+
+
 class TestCountFlags:
-    """--runs, --grid and --k below their least value are usage errors that
-    name the flag, caught at parse time like --workers."""
+    """--runs, --grid, --k and --cap below their least value are usage errors
+    that name the flag, caught at parse time like --workers."""
+
+    @pytest.mark.parametrize("value", [0, -3, "abc", "2.5"])
+    @pytest.mark.parametrize("argv", CAP_COMMANDS, ids=lambda a: a[0])
+    def test_cap_below_one(self, capsys, argv, value):
+        assert run_cli(argv + ["--cap", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--cap" in err
+
+    @pytest.mark.parametrize("argv", CAP_COMMANDS, ids=lambda a: a[0])
+    def test_cap_below_the_size_exits_1(self, capsys, argv):
+        assert run_cli(argv + ["--cap", 3]) == 1
+        assert "exceeds the cap of 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [0, -1, "1.5", "many"])
     @pytest.mark.parametrize("argv", MC_COMMANDS, ids=lambda a: a[0])

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relpoly import (
@@ -14,6 +15,10 @@ from relpoly import (
     enumerate_link_coefficients,
     enumerate_node_coefficients,
     family_node_coefficients,
+    generate_ba,
+    generate_er,
+    generate_lattice,
+    generate_rgg,
     link_reliability,
     node_reliability_c_form,
     node_reliability_s_form,
@@ -21,6 +26,7 @@ from relpoly import (
     star_graph,
     star_pendant_graph,
 )
+from relpoly.exact import _frontier_order, _link_counts, _node_counts
 from relpoly.graph import FAMILIES
 from oracle import (
     brute_connected_counts,
@@ -29,6 +35,8 @@ from oracle import (
     cycle_rational_form,
     direct_link_polynomial,
     direct_node_polynomial,
+    mask_link_coefficients,
+    mask_node_coefficients,
     node_curve_value_exact,
     path_rational_form,
 )
@@ -111,6 +119,127 @@ class TestLinkEnumeration:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             enumerate_link_coefficients(complete_graph(8))  # 28 links
+
+
+def _seeded_er_graphs():
+    """200 seeded ER graphs, N = 0..13 in turn, link probability in [0.05, 0.7)."""
+    rng = np.random.Generator(np.random.PCG64(77))
+    graphs = []
+    for i in range(200):
+        n = i % 14
+        pl = float(rng.uniform(0.05, 0.7))
+        seed = int(rng.integers(1 << 32))
+        graphs.append((f"er:{n},{pl:.3f}@{seed}", generate_er(n, pl, seed) if n else Graph(0)))
+    return graphs
+
+
+# lattices, disconnected graphs, isolated nodes and the smallest sizes
+SPECIAL_GRAPHS = [
+    ("empty:0", Graph(0)),
+    ("single:1", Graph(1)),
+    ("apart:2", Graph(2)),
+    ("pair:2", Graph(2, [(0, 1)])),
+    ("isolated:4", Graph(4)),
+    ("lattice:3x4", generate_lattice((3, 4))),
+    ("lattice:2x2x3", generate_lattice((2, 2, 3))),
+    ("lattice:1x7", generate_lattice((1, 7))),
+    ("lattice:3x3", generate_lattice((3, 3))),
+    ("two-triangles", Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+    ("path+isolated", Graph(5, [(1, 2), (2, 3), (3, 4)])),
+    ("cycle+isolated", Graph(7, [(i, (i + 1) % 6) for i in range(6)])),
+    ("star+edge", Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (6, 7)])),
+]
+
+LINK_ORACLE_MAX_L = 16  # the 2^L oracle takes about 0.3 s at L = 16
+
+
+def _frontier_width(graph, order):
+    """Most processed vertices with an unprocessed neighbour, over `order`."""
+    done, widest = set(), 0
+    for v in order:
+        done.add(v)
+        widest = max(widest, sum(1 for u in done if set(graph.neighbors(u)) - done))
+    return widest
+
+
+class TestFrontierEqualsMasks:
+    """The frontier DP against the 2^N and 2^L mask loops in tests/oracle.py."""
+
+    @staticmethod
+    def check(label, g):
+        assert enumerate_node_coefficients(g) == mask_node_coefficients(g), label
+        if g.num_links <= LINK_ORACLE_MAX_L:
+            assert enumerate_link_coefficients(g) == mask_link_coefficients(g), label
+
+    def test_corpus(self, corpus):
+        for label, g in corpus:
+            self.check(label, g)
+
+    def test_seeded_er(self):
+        for label, g in _seeded_er_graphs():
+            self.check(label, g)
+
+    def test_special_graphs(self):
+        for label, g in SPECIAL_GRAPHS:
+            self.check(label, g)
+
+    def test_counts_do_not_depend_on_the_order(self, corpus):
+        rng = np.random.Generator(np.random.PCG64(78))
+        small = [(label, g) for label, g in corpus if g.num_nodes <= 10]
+        for label, g in SPECIAL_GRAPHS + small:
+            node = mask_node_coefficients(g).connected_counts
+            link = mask_link_coefficients(g).kept_counts if g.num_links <= 12 else None
+            for _ in range(3):
+                order = rng.permutation(g.num_nodes).tolist()
+                assert tuple(_node_counts(g, order)) == node, (label, order)
+                if link is not None:
+                    assert tuple(_link_counts(g, order)) == link, (label, order)
+
+    def test_order_is_a_permutation(self, corpus):
+        for label, g in SPECIAL_GRAPHS + corpus:
+            assert sorted(_frontier_order(g)) == list(range(g.num_nodes)), label
+
+    @pytest.mark.parametrize("dims", [(3, 40), (20, 5), (6, 6), (2, 9)])
+    def test_lattice_order_is_narrow(self, dims):
+        # the greedy order sweeps a lattice across its short side
+        g = generate_lattice(dims)
+        assert _frontier_width(g, _frontier_order(g)) == min(dims)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_families_at_the_cap(self, family):
+        c = enumerate_node_coefficients(FAMILIES[family][0](24))
+        assert c == family_node_coefficients(family, 24)
+
+    def test_dense_er_at_the_cap(self):
+        g = generate_er(24, 0.5, 0)
+        s = enumerate_node_coefficients(g).connected_counts
+        assert (s[0], s[1], s[2], s[24]) == (0, 24, g.num_links, int(g.is_connected()))
+        assert all(0 <= x <= math.comb(24, k) for k, x in enumerate(s))
+
+    def test_spanning_trees_at_the_cap(self):
+        import networkx as nx
+
+        graphs = [
+            generate_er(12, 0.35, 0),  # L = 24
+            generate_lattice((4, 4)),  # L = 24
+            generate_er(11, 0.4, 0),
+            generate_rgg(12, 0.45, 0),
+            generate_ba(10, 2, 0),
+            complete_graph(7),
+            cycle_graph(24),
+        ]
+        for g in graphs:
+            n, l = g.num_nodes, g.num_links
+            assert l <= 24 and g.is_connected(), g
+            f = enumerate_link_coefficients(g).kept_counts
+            nxg = nx.Graph(g.edges())
+            assert f[l - n + 1] == round(nx.number_of_spanning_trees(nxg)), g
+            assert f[0] == 1 and all(x == 0 for x in f[l - n + 2:]), g
+
+    @pytest.mark.slow
+    def test_er22_against_the_node_oracle(self):
+        g = generate_er(22, 0.5, 0)
+        assert enumerate_node_coefficients(g) == mask_node_coefficients(g)
 
 
 class TestEvaluation:
