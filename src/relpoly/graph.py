@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from operator import index
 
 import numpy as np
 
@@ -31,12 +32,14 @@ class Graph:
             raise ValueError("num_nodes must be nonnegative")
         sets = [set() for _ in range(num_nodes)]
         try:
-            for u, v in edges:
+            for head, tail in edges:
+                # plain ints, so numpy integer ids come back as int; a
+                # non-integer id raises TypeError here
+                u, v = index(head), index(tail)
                 if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                     raise ValueError(f"link ({u}, {v}) out of range for {num_nodes} nodes")
                 if u == v:
                     raise ValueError(f"self-loop at node {u} not allowed")
-                # a node id that is not an integer fails to index `sets`
                 sets[u].add(v)
                 sets[v].add(u)
         except TypeError as err:

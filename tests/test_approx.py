@@ -17,6 +17,7 @@ from relpoly import (
     enumerate_node_coefficients,
     er_transition_width,
     generate_er,
+    generate_lattice,
     geometric_upper_bound,
     node_reliability_s_form,
     power_relation_gap,
@@ -128,6 +129,33 @@ class TestBounds:
         assert geometric_upper_bound(star, 0.5) == pytest.approx(0.4921875, abs=1e-12)
         assert arithmetic_upper_bound(star, 0.5) < exact
         assert geometric_upper_bound(star, 0.5) < exact
+
+    def test_exceeded_on_small_er_graphs(self, grid99):
+        # connected ER graphs with N = 3..12, exact curves from the frontier DP
+        graphs = (generate_er(n, pl, 1000 * n + 10 * i + s)
+                  for n in range(3, 13) for i, pl in enumerate((0.3, 0.5, 0.7)) for s in range(10))
+        corpus = [g for g in graphs if g.is_connected()]
+        excess = {"arithmetic": [], "geometric": []}
+        for g in corpus:
+            coeffs = enumerate_node_coefficients(g)
+            for p in grid99:
+                exact = node_reliability_s_form(coeffs, p)
+                excess["arithmetic"].append(exact - arithmetic_upper_bound(g, p))
+                excess["geometric"].append(exact - geometric_upper_bound(g, p))
+        for name, gaps in excess.items():
+            # exact exceeds each formula at most of the points, by up to about 0.3
+            assert sum(gap > 0 for gap in gaps) > len(gaps) / 2, name
+            assert max(gaps) > 0.3, name
+
+    @pytest.mark.parametrize("dims", [(3, 40), (20, 5)])
+    def test_bound_lattices_from_p_009(self, dims, grid99):
+        # at p <= 0.08 a lone survivor, connected though isolated, lifts the
+        # exact value above both; from p = 0.09 on both formulas bound it
+        g = generate_lattice(dims)
+        coeffs = enumerate_node_coefficients(g, cap=g.num_nodes)
+        for bound in (arithmetic_upper_bound, geometric_upper_bound):
+            above = [p for p in grid99 if node_reliability_s_form(coeffs, p) > bound(g, p)]
+            assert above and max(above) == 0.08, (bound.__name__, above)
 
     def test_vacuous_at_p_zero(self):
         g = cycle_graph(6)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -47,6 +48,13 @@ class TestGraphBasics:
     def test_rejects_non_integer_ids(self, link):
         with pytest.raises(ValueError, match="integer node ids"):
             Graph(3, [link])
+
+    def test_numpy_ids_stored_as_int(self):
+        g = Graph(3, [(np.int64(0), np.int64(2)), (np.uint8(1), 2)])
+        assert g.edges() == [(0, 2), (1, 2)]
+        assert all(type(v) is int for link in g.edges() for v in link)
+        assert all(type(v) is int for nbrs in g.adjacency for v in nbrs)
+        assert json.loads(json.dumps(g.edges())) == [[0, 2], [1, 2]]
 
     def test_adjacency_symmetric_and_sorted(self):
         g = Graph(4, [(3, 0), (2, 0), (1, 0)])

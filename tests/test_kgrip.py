@@ -11,6 +11,7 @@ from relpoly import (
     complete_graph,
     cycle_graph,
     generate_er,
+    generate_lattice,
     greedy_lowest_degree_addition,
     highest_degree_addition,
     path_graph,
@@ -196,11 +197,35 @@ def _oracle_cases():
                     yield g, k
 
 
+def _assert_greedy_plans_equal_oracle(g, k):
+    assert list(greedy_lowest_degree_addition(g, k)[1].added) == greedy_addition(g, k, False)
+    assert list(highest_degree_addition(g, k)[1].added) == greedy_addition(g, k, True)
+
+
 class TestPlansEqualOracle:
     def test_greedy_strategies(self):
         for g, k in _oracle_cases():
-            assert list(greedy_lowest_degree_addition(g, k)[1].added) == greedy_addition(g, k, False)
-            assert list(highest_degree_addition(g, k)[1].added) == greedy_addition(g, k, True)
+            _assert_greedy_plans_equal_oracle(g, k)
+
+    @pytest.mark.parametrize("n", [300, 600, 1000])
+    def test_greedy_strategies_at_scale(self, n):
+        g = generate_er(n, 1.5 * math.log(n) / n, n)
+        for k in (1, 50, 300):
+            _assert_greedy_plans_equal_oracle(g, k)
+
+    def test_greedy_strategies_until_saturated(self):
+        # a dense graph runs out of free pairs, so nodes become adjacent to everyone
+        g = generate_er(60, 0.7, 60)
+        free = math.comb(60, 2) - g.num_links
+        for k in (1, 50, free // 2, free):
+            _assert_greedy_plans_equal_oracle(g, k)
+
+    @pytest.mark.parametrize("dims", [(20, 30), (6, 6, 6)])
+    def test_greedy_strategies_on_lattices(self, dims):
+        # most lattice nodes tie on degree
+        g = generate_lattice(dims)
+        for k in (1, 50, 300):
+            _assert_greedy_plans_equal_oracle(g, k)
 
     def test_random_pairing(self):
         for g, k in _oracle_cases():
