@@ -87,10 +87,6 @@ def _capacity_check(graph: Graph, k: int):
     return free
 
 
-def _augment(graph: Graph, added) -> Graph:
-    return Graph(graph.num_nodes, graph.edges() + list(added))
-
-
 def _greedy_addition(graph: Graph, k: int, descending: bool):
     _capacity_check(graph, k)
     n = graph.num_nodes
@@ -132,7 +128,7 @@ def greedy_lowest_degree_addition(graph: Graph, k: int):
     list moves and a short scan, not a sort of all N nodes.
     """
     added = _greedy_addition(graph, k, descending=False)
-    return _augment(graph, added), AugmentationPlan("lowest", k, tuple(added))
+    return graph.with_links(added), AugmentationPlan("lowest", k, tuple(added))
 
 
 def highest_degree_addition(graph: Graph, k: int):
@@ -144,7 +140,7 @@ def highest_degree_addition(graph: Graph, k: int):
     so k links on a sparse graph can cost O(k^2) in scanning.
     """
     added = _greedy_addition(graph, k, descending=True)
-    return _augment(graph, added), AugmentationPlan("highest", k, tuple(added))
+    return graph.with_links(added), AugmentationPlan("highest", k, tuple(added))
 
 
 def random_pairing_addition(graph: Graph, k: int, seed: int):
@@ -163,4 +159,4 @@ def random_pairing_addition(graph: Graph, k: int, seed: int):
     ranks = chosen + np.searchsorted(linked - np.arange(linked.size), chosen, side="right")
     u = np.searchsorted(starts, ranks, side="right") - 1
     added = list(zip(u.tolist(), (ranks - starts[u] + u + 1).tolist()))
-    return _augment(graph, added), AugmentationPlan("random", k, tuple(added), seed=seed)
+    return graph.with_links(added), AugmentationPlan("random", k, tuple(added), seed=seed)

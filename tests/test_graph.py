@@ -23,7 +23,7 @@ from relpoly import (
     star_graph,
 )
 from relpoly import graph as graph_module
-from relpoly.graph import _pair_blocks
+from relpoly.graph import _row_blocks
 from oracle import triu_er, triu_rgg, union_find_component_count
 
 
@@ -71,6 +71,38 @@ class TestGraphBasics:
         edges.append((1, 4))
         assert g.edges() is not edges
         assert len(g.edges()) == g.num_links == len(g.links)
+
+
+class TestWithLinks:
+    def test_adds_and_collapses_duplicates(self):
+        g = path_graph(5)
+        added = [(4, 0), (1, 3), (0, 4), (3, 1), (0, 1)]
+        h = g.with_links(added)
+        assert h == Graph(5, g.edges() + added)
+        assert h.num_links == 6 and h.edges() == Graph(5, g.edges() + added).edges()
+        assert g == path_graph(5) and g.num_links == 4  # the base graph is unchanged
+
+    def test_fresh_caches(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert not g.is_connected() and g.links and g.degree_distribution()
+        h = g.with_links([(1, 2)])
+        assert h.is_connected()
+        assert h.links == ((0, 1), (1, 2), (2, 3))
+        assert h.degree_distribution().degree_counts == {1: 2, 2: 2}
+
+    def test_numpy_ids_stored_as_int(self):
+        h = Graph(3).with_links([(np.int64(0), np.uint8(2))])
+        assert all(type(v) is int for nbrs in h.adjacency for v in nbrs)
+
+    @pytest.mark.parametrize("link", [(1, 1), (0, 5), (-1, 2), (0.0, 1), ("0", 1), 5],
+                             ids=["self-loop", "out-of-range", "negative", "float", "str", "not-a-pair"])
+    def test_same_errors_as_the_constructor(self, link):
+        g = cycle_graph(5)
+        with pytest.raises(ValueError) as expected:
+            Graph(5, g.edges() + [(0, 2), link])
+        with pytest.raises(ValueError) as got:
+            g.with_links([(0, 2), link])
+        assert str(got.value) == str(expected.value)
 
 
 class TestEdgeList:
@@ -289,8 +321,8 @@ class TestGenerators:
 
 def _generator_corpus():
     """(N, p_l, r, seed) cases for the block generators against the oracles:
-    every N up to 12, N that span several blocks, and p_l and r at both
-    extremes (r > sqrt 2 links every pair) and at random."""
+    every N up to 12, N that span several blocks, p_l and r at both extremes
+    (r > sqrt 2 links every pair) and at random, and dense p_l and r."""
     rng = np.random.Generator(np.random.PCG64(606))
     cases = []
     for n in list(range(1, 13)) + [100, 724, 725, 1023, 1500, 2048]:
@@ -302,6 +334,9 @@ def _generator_corpus():
         scale = 1.0 if n <= 100 else 10.0 / n
         pl, r = scale * float(rng.random()), math.sqrt(2 * scale) * float(rng.random())
         cases.append(pytest.param(n, pl, r, seed, id=f"N{n}-random"))
+    # dense graphs, and sparse RGG strips of several blocks (about 3 at N = 2048)
+    for n, pl, r, label in ((1500, 0.3, 0.3, "dense"), (1000, 0.6, 1.0, "r1"), (2048, 0.01, 0.15, "strips")):
+        cases.append(pytest.param(n, pl, r, 1000 + n, id=f"N{n}-{label}"))
     return cases
 
 
@@ -311,27 +346,90 @@ class TestBlockGenerators:
         assert generate_er(n, pl, seed) == triu_er(n, pl, seed)
         assert generate_rgg(n, r, seed) == triu_rgg(n, r, seed)
 
+    @staticmethod
+    def _check_blocks(ends, block):
+        """The blocks of _row_blocks(ends) hold every pair (i, j < ends[i]) in
+        order, in whole rows, each nonempty and within `block` pairs unless
+        it holds a single nonempty row."""
+        iu, ju = np.triu_indices(len(ends), k=1)
+        mask = ju < ends[iu]
+        blocks = list(_row_blocks(ends))
+        heads, tails = [iu[:0]], [ju[:0]]
+        for count, pair_of in blocks:
+            bi, bj = pair_of()
+            heads.append(bi)
+            tails.append(bj)
+            assert 0 < count == bi.size == bj.size
+            assert bj[0] == bi[0] + 1 and bj[-1] == ends[bi[-1]] - 1  # starts and ends a row
+            assert count <= block or bi[0] == bi[-1]  # over the block only as one row
+            # any offsets map to the same pairs as the whole block
+            offsets = np.flatnonzero(np.arange(count) % 3 != 1)
+            oi, oj = pair_of(offsets)
+            assert np.array_equal(oi, bi[offsets]) and np.array_equal(oj, bj[offsets])
+        assert np.array_equal(np.concatenate(heads), iu[mask])
+        assert np.array_equal(np.concatenate(tails), ju[mask])
+        return blocks
+
     @pytest.mark.parametrize("block", [1, 6, 117, 2997, graph_module._PAIR_BLOCK])
     def test_pair_blocks_are_whole_rows_in_order(self, monkeypatch, block):
         monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
         for n in (1, 2, 3, 5, 60, 1500):
-            blocks = list(_pair_blocks(n))
-            iu, ju = np.triu_indices(n, k=1)
-            assert np.array_equal(np.concatenate([b[0] for b in blocks] + [iu[:0]]), iu)
-            assert np.array_equal(np.concatenate([b[1] for b in blocks] + [ju[:0]]), ju)
-            for bi, bj in blocks:
-                assert bj[0] == bi[0] + 1 and bj[-1] == n - 1  # starts and ends a row
-                assert bi.size <= block or bi[0] == bi[-1]  # over the block only as one row
+            self._check_blocks(np.full(n, n), block)
+
+    @pytest.mark.parametrize("block", [1, 6, 117])
+    def test_ragged_rows(self, monkeypatch, block):
+        # empty rows anywhere, rows longer than the block, and rows that end early
+        monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
+        rng = np.random.Generator(np.random.PCG64(block))
+        for n in (1, 2, 7, 40, 300):
+            ids = np.arange(n)
+            for ends in (ids + 1, np.where(ids % 2, ids + 1, n), np.where(ids % 5 == 3, n, ids + 1),
+                         ids + 1 + rng.integers(0, n - ids), np.minimum(ids + 2, n)):
+                self._check_blocks(ends, block)
+        assert list(_row_blocks(np.arange(1, 6))) == []
 
     @pytest.mark.parametrize("block, n", [(6, 5), (117, 60), (2997, 1500)])
     def test_block_full_at_a_row_end(self, monkeypatch, block, n):
         # rows hold n-1, n-2, ... pairs; here some run of rows fills a block exactly
         monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
-        assert block in [iu.size for iu, _ in _pair_blocks(n)]
+        assert block in [count for count, _ in self._check_blocks(np.full(n, n), block)]
         cases = [(min(1.0, 10 / n), min(1.5, 3 / math.sqrt(n)))] + [(1.0, 1.5)] * (n <= 100)
         for pl, r in cases:
             assert generate_er(n, pl, 7) == triu_er(n, pl, 7)
             assert generate_rgg(n, r, 7) == triu_rgg(n, r, 7)
+
+    @pytest.mark.parametrize("r", [0.1, 1 / 3], ids=["r0.1", "r0.333"])
+    def test_rgg_strip_edges_on_crafted_points(self, monkeypatch, r):
+        # points on both sides of the strip's edge, tied x values, and (for
+        # r = 0.1) pairs whose dx*dx + dy*dy rounds to exactly r*r
+        pts = []
+        for k, b in enumerate((0.0, 0.1, 0.3, 1 / 3, 0.55)):
+            y = 0.125 + 0.17 * k
+            pts.append((b, y))
+            for gap in (r, math.nextafter(r, 0), math.nextafter(r, math.inf)):
+                pts += [(b + gap, y), (math.nextafter(b + gap, 0), y), (math.nextafter(b + gap, 1), y)]
+        pts += [(0.5, 0.1), (0.5, 0.15), (0.5, 0.2), (0.55, 0.1), (0.9, 0.95), (0.9, 0.95 - r)]
+        pts += [(0.0, 0.0), (0.08, 0.060000000000000005), (0.06, 0.08000000000000002)]
+        pts = np.array(pts)[np.random.Generator(np.random.PCG64(3)).permutation(len(pts))]
+
+        class FixedPoints:
+            def random(self, shape):
+                assert shape == pts.shape
+                return pts.copy()
+
+        monkeypatch.setattr(graph_module, "_seeded_generator", lambda seed: FixedPoints())
+        n = len(pts)
+        brute = []
+        for i, j in itertools.combinations(range(n), 2):
+            dx, dy = pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]
+            brute.append(dx * dx + dy * dy)
+        brute = np.array(brute)
+        if r == 0.1:
+            assert np.count_nonzero(brute == r * r) >= 2
+        # the strip's edge: pairs at distance about r along x alone, on both sides
+        assert np.count_nonzero(brute < r * r) and np.count_nonzero(np.abs(brute - r * r) < 1e-15)
+        links = [pair for pair, d2 in zip(itertools.combinations(range(n), 2), brute) if d2 < r * r]
+        assert generate_rgg(n, r, 0).edges() == links
 
     def test_large_generators_trace_little_memory(self):
         # the degree-large benchmark graphs; all pairs at once traced 298 and 572 MiB

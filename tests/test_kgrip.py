@@ -253,6 +253,25 @@ class TestPlansEqualOracle:
         assert peak < 16 * 2**20
 
 
+class TestAugmentedGraph:
+    @staticmethod
+    def _assert_equal_to_rebuilt(g, k, seed):
+        for new, plan in (greedy_lowest_degree_addition(g, k), highest_degree_addition(g, k),
+                          random_pairing_addition(g, k, seed)):
+            rebuilt = Graph(g.num_nodes, g.edges() + list(plan.added))
+            assert new == rebuilt and new.edges() == rebuilt.edges()
+            assert new.num_links == rebuilt.num_links == g.num_links + k
+
+    def test_equal_to_graph_of_all_links(self):
+        for g, k in _oracle_cases():
+            self._assert_equal_to_rebuilt(g, k, k)
+
+    def test_equal_to_graph_of_all_links_at_scale(self):
+        g = generate_er(1000, 1.5 * math.log(1000) / 1000, 1)
+        for k in (1, 100, 1000):
+            self._assert_equal_to_rebuilt(g, k, k)
+
+
 class TestStrategyOrdering:
     def test_objective_dominance(self):
         rng = np.random.Generator(np.random.PCG64(21))
