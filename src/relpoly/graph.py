@@ -7,7 +7,9 @@ parameters and a 64-bit seed: the same call yields the same graph.
 from __future__ import annotations
 
 import random
-from collections import defaultdict, deque
+import re
+from bisect import bisect_right
+from collections import deque
 from functools import partial
 from operator import index
 
@@ -23,35 +25,84 @@ def _seeded_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
 
 
-def _link_into(num_nodes: int, edges, sets):
-    """Add each (head, tail) of `edges` to sets[head] and sets[tail], after
-    checking that it links two distinct ids in range(num_nodes)."""
+def _check_links(num_nodes: int, heads, tails):
+    """Raise the ValueError of the first link (heads[k], tails[k]) that is
+    out of range(num_nodes) or a self-loop; return if there is none."""
+    for u, v in zip(heads, tails):
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValueError(f"link ({u}, {v}) out of range for {num_nodes} nodes")
+        if u == v:
+            raise ValueError(f"self-loop at node {u} not allowed")
+
+
+def _id_arrays(num_nodes: int, edges):
+    """The ends of the (head, tail) pairs of `edges` as two int64 arrays.
+
+    A link that is not a pair of integer ids is a ValueError, unless a link
+    before it is already out of range or a self-loop: that link's error
+    comes first, as each link is checked in input order.
+    """
+    heads, tails = [], []
     try:
         for head, tail in edges:
-            # plain ints, so numpy integer ids come back as int; a
-            # non-integer id raises TypeError here
-            u, v = index(head), index(tail)
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"link ({u}, {v}) out of range for {num_nodes} nodes")
-            if u == v:
-                raise ValueError(f"self-loop at node {u} not allowed")
-            sets[u].add(v)
-            sets[v].add(u)
-    except TypeError as err:
+            # a non-integer id raises TypeError here
+            heads.append(index(head))
+            tails.append(index(tail))
+    except (TypeError, ValueError) as err:
+        _check_links(num_nodes, heads, tails)
+        if isinstance(err, ValueError):  # a link that is not a pair
+            raise
         raise ValueError(f"links must be pairs of integer node ids: {err}") from None
+    try:
+        return np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64)
+    except OverflowError:
+        _check_links(num_nodes, heads, tails)  # an id beyond int64 is out of range
+        raise
+
+
+def _adjacency(num_nodes: int, heads, tails):
+    """Per-node sorted tuples of the neighbours of the links (heads[k], tails[k]).
+
+    `heads` and `tails` are int64 arrays. A link out of range(num_nodes) or
+    a self-loop raises the ValueError of the first such link in input order.
+    Each link gives the keys u*N+v and v*N+u; one sort of all 2L keys drops
+    duplicate and reversed links and puts node u's neighbours in the keys
+    [u*N, (u+1)*N). The tuples hold plain ints. O(N + L log L).
+    """
+    if ((heads < 0) | (heads >= num_nodes) | (tails < 0) | (tails >= num_nodes) | (heads == tails)).any():
+        _check_links(num_nodes, heads.tolist(), tails.tolist())
+    keys = np.concatenate((heads * num_nodes + tails, tails * num_nodes + heads))
+    keys.sort()  # np.unique hashes first: 4.4 s against 0.05 s for 5M keys (numpy 2.4)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    bounds = np.searchsorted(keys, np.arange(num_nodes + 1) * num_nodes).tolist()
+    nbrs = (keys % num_nodes).tolist()
+    return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 class Graph:
-    """Simple undirected graph: no self-loops, no parallel links, immutable."""
+    """Simple undirected graph: no self-loops, no parallel links, immutable.
+
+    `Graph(N, edges)` takes (u, v) pairs of integer ids in range(N), in any
+    order and orientation; duplicate and reversed links collapse to one. A
+    non-integer id, an id out of range or a self-loop is a ValueError that
+    names the first such link. Neighbours are stored as sorted tuples of
+    plain ints, built by one numpy sort of all links.
+    """
 
     __slots__ = ("_n", "_adj", "_m", "_links", "_connected", "_degrees")
 
     def __init__(self, num_nodes: int, edges=()):
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
-        sets = [set() for _ in range(num_nodes)]
-        _link_into(num_nodes, edges, sets)
-        self._set_adjacency(num_nodes, tuple(tuple(sorted(s)) for s in sets))
+        num_nodes = index(num_nodes)
+        self._set_adjacency(num_nodes, _adjacency(num_nodes, *_id_arrays(num_nodes, edges)))
+
+    @classmethod
+    def _of_adjacency(cls, num_nodes: int, adj) -> "Graph":
+        """A graph with the given per-node sorted neighbour tuples, unchecked."""
+        graph = cls.__new__(cls)
+        graph._set_adjacency(num_nodes, adj)
+        return graph
 
     def _set_adjacency(self, num_nodes: int, adj):
         self._n = num_nodes
@@ -65,17 +116,15 @@ class Graph:
         """A new graph: this one plus `edges`, checked as in `Graph(...)`.
 
         Links already present collapse as in the constructor. Only the
-        added links are checked and only their ends' neighbour tuples are
-        rebuilt, so the cost is O(N) plus the touched nodes' degrees.
+        added links are checked and sorted, and only their ends' neighbour
+        tuples are merged, so the cost is O(N) plus the touched nodes' degrees.
         """
-        new = defaultdict(set)  # the added neighbours of each touched node
-        _link_into(self._n, edges, new)
+        added = _adjacency(self._n, *_id_arrays(self._n, edges))
         adj = list(self._adj)
-        for v, s in new.items():
-            adj[v] = tuple(sorted(s.union(adj[v])))
-        graph = Graph.__new__(Graph)
-        graph._set_adjacency(self._n, tuple(adj))
-        return graph
+        for v, new in enumerate(added):
+            if new:
+                adj[v] = tuple(sorted(set(adj[v]).union(new)))
+        return Graph._of_adjacency(self._n, tuple(adj))
 
     @property
     def num_nodes(self) -> int:
@@ -207,19 +256,46 @@ def is_connected(graph: Graph, nodes) -> bool:
 # edge-list text format
 
 
+# the form save_edge_list writes: an optional "# nodes N" line, then "u v"
+# lines of ASCII digits; at most 18 digits, so every id fits in int64
+_SAVED_FORM = re.compile(r"(?:# nodes ([0-9]{1,18})\n)?((?:[0-9]{1,18} [0-9]{1,18}\n)*)")
+_NODES_LINE = re.compile(r"#\s*nodes\s+([0-9]+)")
+
+
 def load_edge_list(text: str) -> Graph:
     """Parse "u v" lines into a Graph.
 
-    Blank lines and lines starting with '#' are skipped. Node count is
-    max id + 1, so unreferenced intermediate ids become degree-0 nodes.
-    Duplicate links (including reversed duplicates) collapse to one in
-    `Graph`.
+    Blank lines and lines starting with '#' are skipped, except a comment
+    "# nodes N" before the first link: it sets the node count to N, and an
+    id of N or more is then an error. Without it the node count is max id
+    + 1, so unreferenced intermediate ids become degree-0 nodes. Duplicate
+    links (including reversed duplicates) collapse to one in `Graph`.
+
+    Text in the form `save_edge_list` writes is converted in bulk by numpy;
+    any other text, and any error, goes through a per-line loop, which
+    names the line of the first bad link in an EdgeListFormatError.
     """
+    saved = _SAVED_FORM.fullmatch(text)
+    if saved:
+        ids = np.array(saved[2].split(), dtype=np.int64)
+        n = int(saved[1]) if saved[1] else int(ids.max(initial=-1)) + 1
+        try:
+            return Graph._of_adjacency(n, _adjacency(n, ids[0::2], ids[1::2]))
+        except ValueError:
+            pass  # a self-loop or an id of N or more: the loop names its line
     edges = []
     max_id = -1
+    num_nodes = None  # from a "# nodes N" line
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            header = _NODES_LINE.fullmatch(stripped)
+            if header:
+                if edges or num_nodes is not None:
+                    raise EdgeListFormatError(f"line {lineno}: '# nodes' must come once, before the first link")
+                num_nodes = int(header[1])
             continue
         parts = stripped.split()
         if len(parts) != 2:
@@ -232,14 +308,26 @@ def load_edge_list(text: str) -> Graph:
             raise EdgeListFormatError(f"line {lineno}: negative node id")
         if u == v:
             raise EdgeListFormatError(f"line {lineno}: self-loop {u} {v} not allowed")
+        if num_nodes is not None and max(u, v) >= num_nodes:
+            raise EdgeListFormatError(f"line {lineno}: node id {max(u, v)} out of range for {num_nodes} nodes")
         edges.append((u, v))
         max_id = max(max_id, u, v)
-    return Graph(max_id + 1, edges)
+    return Graph(max_id + 1 if num_nodes is None else num_nodes, edges)
 
 
 def save_edge_list(graph: Graph) -> str:
-    """Normalized form: sorted "u v" lines with u < v, one link per line."""
-    return "".join(f"{u} {v}\n" for u, v in graph.edges())
+    """Normalized form: sorted "u v" lines with u < v, one link per line.
+
+    A first line "# nodes N" is written only when node N-1 has no link, so
+    that `load_edge_list` gives back every node, trailing isolated ones too.
+    """
+    n = graph.num_nodes
+    lines = [f"# nodes {n}\n"] if n and not graph.degree(n - 1) else []
+    # one format per node over its later neighbours: no (u, v) tuple per link
+    for u, nbrs in enumerate(graph.adjacency):
+        later = nbrs[bisect_right(nbrs, u):]
+        lines.append(f"{u} %d\n" * len(later) % later)
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +377,9 @@ def _block_pairs(first, block_cum, shift, offsets=None):
 
 
 def _graph_of_keys(num_nodes: int, keys) -> Graph:
-    """Graph linking the pairs divmod(key, N) of `keys`, a list of key arrays.
-
-    The keys are joined and sorted once: links in id order fill the
-    Graph's per-node sets fastest. The 2.7M links of an RGG at N = 5000,
-    r = 0.3 took 3.3 s in id order and 4.5 s in the strip's x order (2-vCPU Xeon).
-    """
-    joined = np.concatenate([np.empty(0, dtype=np.intp)] + keys)
-    joined.sort()
-    heads, tails = np.divmod(joined, num_nodes)
-    return Graph(num_nodes, zip(heads.tolist(), tails.tolist()))
+    """Graph linking the pairs divmod(key, N) of `keys`, a list of key arrays."""
+    heads, tails = np.divmod(np.concatenate([np.empty(0, dtype=np.int64)] + keys), num_nodes)
+    return Graph._of_adjacency(num_nodes, _adjacency(num_nodes, heads, tails))
 
 
 def generate_er(num_nodes: int, link_probability: float, seed: int) -> Graph:
@@ -400,14 +481,11 @@ def generate_lattice(dims) -> Graph:
         raise ValueError("lattice takes 2 or 3 dimensions")
     if any(d < 1 for d in dims):
         raise ValueError("lattice dimensions must be positive")
-    ids = np.arange(np.prod(dims)).reshape(dims)
-    edges = []
-    for axis, d in enumerate(dims):
-        # each node to its successor along `axis`
-        head = ids.take(range(d - 1), axis=axis).ravel().tolist()
-        tail = ids.take(range(1, d), axis=axis).ravel().tolist()
-        edges += zip(head, tail)
-    return Graph(ids.size, edges)
+    ids = np.arange(np.prod(dims), dtype=np.int64).reshape(dims)
+    # each node to its successor along each axis
+    heads = np.concatenate([ids.take(range(d - 1), axis=axis).ravel() for axis, d in enumerate(dims)])
+    tails = np.concatenate([ids.take(range(1, d), axis=axis).ravel() for axis, d in enumerate(dims)])
+    return Graph._of_adjacency(ids.size, _adjacency(ids.size, heads, tails))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ So are the two link-addition searches, the library's former pair scan and
 its draw from a table of every unlinked pair, and the two random-graph
 generators that built every candidate pair at once, and the two mask loops
 that checked all 2^N node subsets and all 2^L link subsets before the
-frontier dynamic program replaced them. The last few helpers
+frontier dynamic program replaced them, and the per-node sets that
+built every graph's adjacency before one numpy sort of all links replaced
+them. The last few helpers
 are read only by tests: quotient forms of the cycle and path polynomials,
 an exact rational evaluation, a plan's degree changes and a one-call link
 curve estimate.
@@ -18,6 +20,7 @@ curve estimate.
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 
 import numpy as np
 
@@ -331,12 +334,28 @@ def random_pairing(graph, k: int, seed: int):
     return sorted((int(iu[c]), int(ju[c])) for c in chosen)
 
 
+def set_adjacency(num_nodes: int, edges):
+    """Per-node sorted neighbour tuples from one Python set per node (the
+    library's former `Graph` constructor body, checks left out)."""
+    sets = [set() for _ in range(num_nodes)]
+    for head, tail in edges:
+        u, v = index(head), index(tail)
+        sets[u].add(v)
+        sets[v].add(u)
+    return tuple(tuple(sorted(s)) for s in sets)
+
+
+def set_graph(num_nodes: int, edges):
+    """Graph whose adjacency comes from set_adjacency, not the library's builder."""
+    return Graph._of_adjacency(num_nodes, set_adjacency(num_nodes, edges))
+
+
 def triu_er(num_nodes: int, link_probability: float, seed: int):
     """G(N, p_l) from one draw over every pair of np.triu_indices: O(N^2) memory."""
     rng = _seeded_generator(seed)
     iu, ju = np.triu_indices(num_nodes, k=1)
     mask = rng.random(iu.size) < link_probability
-    return Graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
+    return set_graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
 
 
 def triu_rgg(num_nodes: int, radius: float, seed: int):
@@ -346,7 +365,7 @@ def triu_rgg(num_nodes: int, radius: float, seed: int):
     iu, ju = np.triu_indices(num_nodes, k=1)
     d2 = np.sum((pts[iu] - pts[ju]) ** 2, axis=1)
     mask = d2 < radius * radius
-    return Graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
+    return set_graph(num_nodes, zip(iu[mask].tolist(), ju[mask].tolist()))
 
 
 def cycle_rational_form(n: int, p: float) -> float:

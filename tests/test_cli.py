@@ -162,6 +162,20 @@ class TestKgrip:
         assert augmented.num_links == base.num_links + 3
 
 
+class TestGenerate:
+    @pytest.mark.filterwarnings("ignore:stochastic node reliability applied to a disconnected graph")
+    def test_trailing_isolated_node_survives_the_file(self, tmp_path):
+        # node 199 of this graph has no link; a file without "# nodes 200" read back 199 nodes
+        g = tmp_path / "g.edges"
+        assert run_cli(["generate", "--gen", "er:200,0.02", "--gen-seed", 27, "--out", g]) == 0
+        assert load_edge_list(g.read_text()).num_nodes == 200
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(["approx", "stochastic", "--input", g, "--kind", "node", "--out", a]) == 0
+        assert run_cli(["approx", "stochastic", "--gen", "er:200,0.02", "--gen-seed", 27, "--kind", "node",
+                        "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestCompare:
     def test_identical_files(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -23,8 +23,8 @@ from relpoly import (
     star_graph,
 )
 from relpoly import graph as graph_module
-from relpoly.graph import _row_blocks
-from oracle import triu_er, triu_rgg, union_find_component_count
+from relpoly.graph import FAMILIES, _row_blocks
+from oracle import set_adjacency, set_graph, triu_er, triu_rgg, union_find_component_count
 
 
 class TestGraphBasics:
@@ -105,6 +105,58 @@ class TestWithLinks:
         assert str(got.value) == str(expected.value)
 
 
+_LATTICE_DIMS = ((1, 1), (1, 6), (7, 9), (2, 2, 2), (3, 4, 5))
+
+
+def _lattice_links(dims):
+    """Links of the grid graph on `dims`, numbered in row-major order."""
+    coords = list(itertools.product(*map(range, dims)))
+    ids = {c: k for k, c in enumerate(coords)}
+    return [(ids[c], ids[c[:a] + (c[a] + 1,) + c[a + 1:]])
+            for c in coords for a in range(len(dims)) if c[a] + 1 < dims[a]]
+
+
+def _builder_corpus():
+    """(N, links) cases for the adjacency builder against the set oracle."""
+    cases = [pytest.param(0, [], id="N0"), pytest.param(1, [], id="N1"),
+             pytest.param(10, [(0, 1), (3, 2)], id="N10-trailing-isolated")]
+    for dims in _LATTICE_DIMS:
+        cases.append(pytest.param(math.prod(dims), _lattice_links(dims), id="lattice-" + "x".join(map(str, dims))))
+    graphs = [("er-trailing-isolated", generate_er(100, 0.01, 6)), ("er", generate_er(300, 0.05, 3)),
+              ("rgg", generate_rgg(300, 0.1, 2)), ("ba", generate_ba(200, 3, 4))]
+    graphs += [(f"{name}-{n}", builder(n)) for name, (builder, low) in FAMILIES.items() for n in (low, 9)]
+    cases += [pytest.param(g.num_nodes, g.edges(), id=label) for label, g in graphs]
+    return cases
+
+
+class TestAdjacencyBuilder:
+    @pytest.mark.parametrize("n, links", _builder_corpus())
+    def test_equal_to_set_oracle(self, n, links):
+        # every link in both orientations, half of them once more, shuffled
+        mixed = links + [(v, u) for u, v in links] + links[: len(links) // 2]
+        mixed = [mixed[k] for k in np.random.Generator(np.random.PCG64(n)).permutation(len(mixed))]
+        expected = set_adjacency(n, links)
+        assert set_adjacency(n, mixed) == expected
+        g = Graph(n, mixed)
+        assert g.adjacency == expected and g.num_nodes == n
+        assert all(type(v) is int for nbrs in g.adjacency for v in nbrs)
+        assert Graph(n, [(np.int64(u), np.uint16(v)) for u, v in mixed]).adjacency == expected
+        heads = np.array([u for u, _ in mixed], dtype=np.int64)
+        tails = np.array([v for _, v in mixed], dtype=np.int64)
+        assert graph_module._adjacency(n, heads, tails) == expected
+
+    @pytest.mark.parametrize("dims", _LATTICE_DIMS, ids=lambda dims: "x".join(map(str, dims)))
+    def test_lattice_equal_to_set_oracle(self, dims):
+        assert generate_lattice(dims) == set_graph(math.prod(dims), _lattice_links(dims))
+
+
+class _NoLoop(str):
+    """Text whose splitlines fails: load_edge_list reads it only by its bulk path."""
+
+    def splitlines(self, *args, **kwargs):
+        raise AssertionError("per-line loop")
+
+
 class TestEdgeList:
     def test_parse_path(self):
         g = load_edge_list("0 1\n1 2")
@@ -132,6 +184,65 @@ class TestEdgeList:
         g = load_edge_list("0 5\n")
         assert g.num_nodes == 6
         assert g.degree(3) == 0
+
+    @pytest.mark.parametrize("g", [generate_er(100, 0.01, 6), generate_er(300, 0.02, 3), generate_rgg(300, 0.08, 5),
+                                   generate_rgg(200, 0.05, 14), generate_lattice((7, 9)), generate_lattice((3, 4, 5)),
+                                   Graph(1)],
+                             ids=["er-trailing-isolated", "er", "rgg", "rgg-trailing-isolated", "lattice-7x9",
+                                  "lattice-3x4x5", "N1"])
+    def test_bulk_path_equals_the_loop(self, g):
+        text = save_edge_list(g)
+        bulk = load_edge_list(_NoLoop(text))
+        assert bulk == g and bulk.num_nodes == g.num_nodes
+        for variant in ("# c\n" + text, text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+            with pytest.raises(AssertionError, match="per-line loop"):
+                load_edge_list(_NoLoop(variant))
+            loop = load_edge_list(variant)
+            assert loop == bulk and loop.num_nodes == bulk.num_nodes
+
+    @pytest.mark.parametrize("text, n, links", [
+        ("", 0, []),
+        ("0 1\n1 2", 3, [(0, 1), (1, 2)]),
+        ("007 0010\n", 11, [(7, 10)]),
+        ("000000000000000001 000000000000000002\n000000000000000123 000000000000000004\n", 124, [(1, 2), (4, 123)]),
+        ("# nodes 6\n0 1\n", 6, [(0, 1)]),
+        ("# nodes 000006\n1 0\n", 6, [(0, 1)]),
+    ], ids=["empty", "no-final-newline", "leading-zeros", "18-digits", "nodes-header", "nodes-header-zeros"])
+    def test_edge_cases_both_paths(self, text, n, links):
+        for t in (text, "# c\n" + text):
+            g = load_edge_list(t)
+            assert g == Graph(n, links) and g.num_nodes == n
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 40])
+    def test_self_loop_in_saved_text_keeps_its_line(self, k):
+        lines = save_edge_list(generate_er(30, 0.2, 5)).splitlines(keepends=True)
+        assert len(lines) >= 40
+        lines.insert(k - 1, "7 7\n")
+        with pytest.raises(EdgeListFormatError) as err:
+            load_edge_list("".join(lines))
+        assert str(err.value) == f"line {k}: self-loop 7 7 not allowed"
+
+    def test_nodes_header_keeps_trailing_isolated_nodes(self):
+        g = generate_er(100, 0.01, 6)
+        assert g.num_nodes == 100 and g.degree(99) == 0
+        text = save_edge_list(g)
+        assert text.startswith("# nodes 100\n") and text.count("#") == 1
+        assert load_edge_list(text) == g
+        assert save_edge_list(Graph(1)) == "# nodes 1\n" and load_edge_list("# nodes 1\n") == Graph(1)
+        assert save_edge_list(Graph(0)) == "" and load_edge_list("") == Graph(0)
+        # node N-1 has a link: no header
+        assert save_edge_list(Graph(4, [(3, 0)])) == "0 3\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("# nodes 3\n0 1\n1 3\n", "line 3: node id 3 out of range for 3 nodes"),
+        ("# c\n# nodes 3\n5 1\n", "line 3: node id 5 out of range for 3 nodes"),
+        ("0 1\n# nodes 3\n", "line 2: '# nodes' must come once, before the first link"),
+        ("# nodes 3\n# nodes 4\n0 1\n", "line 2: '# nodes' must come once, before the first link"),
+    ], ids=["bulk-form", "loop", "after-a-link", "twice"])
+    def test_nodes_header_errors(self, text, message):
+        with pytest.raises(EdgeListFormatError) as err:
+            load_edge_list(text)
+        assert str(err.value) == message
 
     def test_round_trip_normalizes(self):
         text = "# c\n2 1\n0 1\n1 2\n"
