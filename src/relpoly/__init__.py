@@ -57,7 +57,6 @@ from .graph import (
     generate_er,
     generate_lattice,
     generate_rgg,
-    is_connected,
     load_edge_list,
     path_graph,
     save_edge_list,

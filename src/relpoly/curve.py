@@ -31,7 +31,7 @@ class Curve:
             raise ValueError("grid and values must have equal length")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if any(p < 0 or p > 1 for p in self.grid):
+        if any(not 0 <= p <= 1 for p in self.grid):  # NaN too
             raise ValueError("grid points must lie in [0, 1]")
 
     def value_at(self, p: float) -> float:
@@ -62,14 +62,17 @@ class Curve:
 
     @staticmethod
     def from_csv(text: str, metadata: dict | None = None) -> "Curve":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "p,value":
+        lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        if not lines or lines[0][1].strip() != "p,value":
             raise ValueError('curve CSV must start with the header "p,value"')
         grid, values = [], []
-        for ln in lines[1:]:
-            a, b = ln.split(",")
-            grid.append(float(a))
-            values.append(float(b))
+        for lineno, ln in lines[1:]:
+            try:
+                p, v = map(float, ln.split(","))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected two numbers p,value, got {ln!r}") from None
+            grid.append(p)
+            values.append(v)
         return Curve(tuple(grid), tuple(values), metadata or {})
 
     def metadata_json(self) -> str:

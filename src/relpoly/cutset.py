@@ -42,15 +42,6 @@ class ProbeSystem:
             isinstance(r, (Fraction, int)) for r in self.rhs
         )
 
-    def matrix(self):
-        """Row i: (1-p_i)^j p_i^(n-j) for j = 0..n, in the probes' arithmetic."""
-        n = self.dimension
-        rows = []
-        for p in self.probes:
-            q = 1 - p
-            rows.append([q**j * p ** (n - j) for j in range(n + 1)])
-        return rows
-
 
 def build_probe_system(n: int, curve_source, probes=None) -> ProbeSystem:
     """Sample `curve_source` at n+1 distinct interior probabilities.

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_right
-from collections import deque
 from functools import partial
 from operator import index
 
@@ -163,9 +162,23 @@ class Graph:
         return v in self._adj[u]
 
     def is_connected(self) -> bool:
-        """Whole-graph connectivity (cached). Empty graph counts as disconnected."""
-        if self._connected is None:
-            self._connected = is_connected(self, range(self._n))
+        """Whole-graph connectivity (cached). Empty graph counts as disconnected.
+
+        One iterative traversal from node 0 with a bytearray of seen flags,
+        O(N + L): connected iff it reaches all N nodes.
+        """
+        if self._connected is None and self._n == 0:
+            self._connected = False
+        elif self._connected is None:
+            adj, seen, stack, reached = self._adj, bytearray(self._n), [0], 1
+            seen[0] = 1
+            while stack:
+                for u in adj[stack.pop()]:
+                    if not seen[u]:
+                        seen[u] = 1
+                        reached += 1
+                        stack.append(u)
+            self._connected = reached == self._n
         return self._connected
 
     def degree_distribution(self) -> "DegreeDistribution":
@@ -228,37 +241,15 @@ def degree_distribution(graph: Graph) -> DegreeDistribution:
     return DegreeDistribution(counts, graph.num_nodes)
 
 
-def is_connected(graph: Graph, nodes) -> bool:
-    """True iff the subgraph induced by `nodes` has exactly one component.
-
-    Convention: the empty set is disconnected, a singleton is connected.
-    """
-    subset = set(nodes)
-    if not subset:
-        return False
-    for v in subset:
-        if not 0 <= v < graph.num_nodes:
-            raise ValueError(f"node id {v} out of range")
-    start = next(iter(subset))
-    seen = {start}
-    queue = deque([start])
-    adj = graph.adjacency
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u in subset and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(subset)
-
-
 # ---------------------------------------------------------------------------
 # edge-list text format
 
 
 # the form save_edge_list writes: an optional "# nodes N" line, then "u v"
-# lines of ASCII digits; at most 18 digits, so every id fits in int64
-_SAVED_FORM = re.compile(r"(?:# nodes ([0-9]{1,18})\n)?((?:[0-9]{1,18} [0-9]{1,18}\n)*)")
+# lines of ASCII digits; at most 18 digits, so every id fits in int64.
+# Possessive quantifiers (Python 3.11) never backtrack: no text the form
+# rejects would match with fewer digits or lines.
+_SAVED_FORM = re.compile(r"(?:# nodes ([0-9]{1,18}+)\n)?((?:[0-9]{1,18}+ [0-9]{1,18}+\n)*+)")
 _NODES_LINE = re.compile(r"#\s*nodes\s+([0-9]+)")
 
 
@@ -306,6 +297,8 @@ def load_edge_list(text: str) -> Graph:
             raise EdgeListFormatError(f"line {lineno}: non-integer token in {stripped!r}") from None
         if u < 0 or v < 0:
             raise EdgeListFormatError(f"line {lineno}: negative node id")
+        if max(u, v) >> 63:
+            raise EdgeListFormatError(f"line {lineno}: node id {max(u, v)} does not fit in int64")
         if u == v:
             raise EdgeListFormatError(f"line {lineno}: self-loop {u} {v} not allowed")
         if num_nodes is not None and max(u, v) >= num_nodes:

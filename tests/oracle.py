@@ -12,8 +12,9 @@ that checked all 2^N node subsets and all 2^L link subsets before the
 frontier dynamic program replaced them, and the per-node sets that
 built every graph's adjacency before one numpy sort of all links replaced
 them. The last few helpers
-are read only by tests: quotient forms of the cycle and path polynomials,
-an exact rational evaluation, a plan's degree changes and a one-call link
+are read only by tests: the matrix of a cut-set probe system
+(`probe_matrix`), quotient forms of the cycle and path polynomials, an
+exact rational evaluation, a plan's degree changes and a one-call link
 curve estimate.
 """
 
@@ -169,6 +170,17 @@ def direct_c_form_polynomial(c_counts, p):
 def direct_link_polynomial(f_counts, p):
     l = len(f_counts) - 1
     return sum(f * (1 - p) ** j * p ** (l - j) for j, f in enumerate(f_counts))
+
+
+def probe_matrix(system):
+    """Row i of a cut-set ProbeSystem: (1-p_i)^j p_i^(n-j) for j = 0..n,
+    in the probes' own arithmetic."""
+    n = system.dimension
+    rows = []
+    for p in system.probes:
+        q = 1 - p
+        rows.append([q**j * p ** (n - j) for j in range(n + 1)])
+    return rows
 
 
 def gauss_jordan_solve(rows, rhs):

@@ -21,6 +21,7 @@ from relpoly import (
     geometric_upper_bound,
     node_reliability_s_form,
     power_relation_gap,
+    probability_grid,
     rgg_node_reliability,
     star_graph,
     stochastic_link_curve,
@@ -86,6 +87,18 @@ class TestStochasticApproximation:
                 node = stochastic_node_reliability(g, p)
                 link = stochastic_link_reliability(g, p)
                 assert abs(node - link**p) < 1e-12, (label, p)
+
+    @pytest.mark.parametrize("dims, gap, at", [((3, 40), 0.3998, 0.82), ((20, 5), 0.3419, 0.01)])
+    def test_sup_gap_to_exact_on_lattices(self, dims, gap, at):
+        # the independence of isolation events fails on lattices: the curve is
+        # far from exact nRel, above it on the long 3x40 strip, below on 20x5
+        g = generate_lattice(dims)
+        coeffs = enumerate_node_coefficients(g, cap=g.num_nodes)
+        grid = probability_grid()[1:]  # p = 0 left out
+        curve = stochastic_node_curve(g, grid)
+        gaps = [abs(node_reliability_s_form(coeffs, p) - v) for p, v in zip(grid, curve.values)]
+        assert max(gaps) == pytest.approx(gap, abs=1e-4)
+        assert grid[gaps.index(max(gaps))] == at
 
 
 class TestPowerRelationGap:
@@ -213,6 +226,27 @@ class TestErFormulas:
         assert res.inside
         expected_value = math.exp(-res.p / (math.exp(5 * res.p) / 100))
         assert res.value == pytest.approx(expected_value, rel=1e-12)
+
+    @pytest.mark.parametrize("sizes, link_probabilities, crossing, value, reported", [
+        ((100, 10000), (0.05, 0.0012), 0.6579, 0.0860941, 0.2683),
+        ((500, 5000), (0.02, 0.0025), 0.9210, 0.9549926, 20.0),
+    ])
+    def test_formula_curves_cross_where_growth_scales_meet(self, sizes, link_probabilities, crossing, value,
+                                                           reported):
+        # the two er_node_reliability curves cross once, at
+        # p* = ln(N2/N1)/(k2 - k1), where b1(p*) = b2(p*); er_intersection
+        # reports that common growth scale, not p*
+        m1, m2 = (ErModel(n, pl) for n, pl in zip(sizes, link_probabilities))
+        p = math.log(m2.num_nodes / m1.num_nodes) / (m2.mean_degree - m1.mean_degree)
+        assert p == pytest.approx(crossing, abs=1e-4)
+        assert er_node_reliability(m1, p) == pytest.approx(er_node_reliability(m2, p), rel=1e-12)
+        assert er_node_reliability(m1, p) == pytest.approx(value, abs=1e-7)
+        assert er_node_reliability(m1, p - 0.01) > er_node_reliability(m2, p - 0.01)
+        assert er_node_reliability(m1, p + 0.01) < er_node_reliability(m2, p + 0.01)
+        res = er_intersection(m1, m2)
+        assert res.p == pytest.approx(reported, abs=1e-4)
+        assert res.p == pytest.approx(m1.growth_scale(p), rel=1e-12)
+        assert res.p == pytest.approx(m2.growth_scale(p), rel=1e-12)
 
     def test_equal_sizes_intersect_at_one_over_n(self):
         res = er_intersection(ErModel(50, 0.1), ErModel(50, 0.2))

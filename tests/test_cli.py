@@ -206,6 +206,14 @@ class TestCompare:
         report = capsys.readouterr().out.splitlines()
         assert float(report[1].split(",")[2]) == 0.0
 
+    def test_nan_grid_point_exit_1(self, tmp_path, capsys):
+        # NaN compares False with everything: the range check must still
+        # reject it, not leave a file to mismatch its own grid
+        a = tmp_path / "a.csv"
+        a.write_text("p,value\n0,1\nnan,0.5\n")
+        assert run_cli(["compare", a, a]) == 1
+        assert capsys.readouterr().err == "error: grid points must lie in [0, 1]\n"
+
     def test_grid_mismatch_exit_1(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 21, "--out", a])
@@ -233,6 +241,12 @@ class TestUsageErrors:
 
     def test_missing_input_file(self, tmp_path):
         assert run_cli(["exact", "--input", tmp_path / "absent.edges"]) == 1
+
+    def test_input_id_beyond_int64(self, tmp_path, capsys):
+        g = tmp_path / "huge.edges"
+        g.write_text("0 1\n10000000000000000000 1\n")
+        assert run_cli(["approx", "stochastic", "--input", g]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: node id 10000000000000000000")
 
     @pytest.mark.parametrize("argv", [
         ["exact", "--family", "path", "--n", 3, "--ps", "0.1,abc"],

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -46,6 +47,20 @@ class TestCurve:
         again = Curve.from_csv(curve.to_csv())
         assert again.grid == curve.grid
         assert again.values == curve.values
+
+    @pytest.mark.parametrize("grid", [(0.0, math.nan), (math.nan, 1.0), (-0.5, 1.0), (0.0, math.inf)],
+                             ids=["nan-last", "nan-first", "negative", "inf"])
+    def test_grid_point_outside_unit_interval(self, grid):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            Curve(grid, (1.0, 1.0))
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            Curve.from_csv("p,value\n" + "".join(f"{p},1\n" for p in grid))
+
+    @pytest.mark.parametrize("row", ["0.5,1,2", "0.5", "0.5,x", ","])
+    def test_csv_row_not_two_numbers_names_its_line(self, row):
+        # line 4: the blank line 2 still counts
+        with pytest.raises(ValueError, match=f"line 4: expected two numbers p,value, got '{row}'"):
+            Curve.from_csv(f"p,value\n\n0,1\n{row}\n1,0\n")
 
     def test_csv_header_required(self):
         with pytest.raises(ValueError):

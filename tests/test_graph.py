@@ -16,7 +16,6 @@ from relpoly import (
     generate_er,
     generate_lattice,
     generate_rgg,
-    is_connected,
     load_edge_list,
     path_graph,
     save_edge_list,
@@ -24,7 +23,7 @@ from relpoly import (
 )
 from relpoly import graph as graph_module
 from relpoly.graph import FAMILIES, _row_blocks
-from oracle import set_adjacency, set_graph, triu_er, triu_rgg, union_find_component_count
+from oracle import naive_connected, set_adjacency, set_graph, triu_er, triu_rgg, union_find_component_count
 
 
 class TestGraphBasics:
@@ -180,6 +179,12 @@ class TestEdgeList:
         with pytest.raises(EdgeListFormatError, match="line 2"):
             load_edge_list("0 1\n1 x")
 
+    @pytest.mark.parametrize("text", ["10000000000000000000 1\n", "0 1\n1 9223372036854775808\n"],
+                             ids=["line-1", "line-2"])
+    def test_id_beyond_int64_names_its_line(self, text):
+        with pytest.raises(EdgeListFormatError, match=f"line {text.count(chr(10))}: node id .* int64"):
+            load_edge_list(text)
+
     def test_isolated_intermediate_ids(self):
         g = load_edge_list("0 5\n")
         assert g.num_nodes == 6
@@ -306,20 +311,29 @@ class TestDegreeDistribution:
 
 class TestIsConnected:
     def test_complete_subset(self):
-        assert is_connected(complete_graph(3), {0, 1, 2})
-
-    def test_path_endpoints_only(self):
-        assert not is_connected(path_graph(3), {0, 2})
+        assert complete_graph(3).is_connected()
 
     def test_empty_subset_disconnected(self):
-        assert not is_connected(cycle_graph(5), set())
+        # no nodes at all: disconnected by convention
+        assert not Graph(0).is_connected()
 
     def test_singleton_connected(self):
-        assert is_connected(cycle_graph(5), {3})
+        assert Graph(1).is_connected()
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            is_connected(path_graph(3), {0, 7})
+    def test_trailing_isolated_node(self):
+        links = [(0, 1), (1, 2), (2, 3)]
+        assert not Graph(5, links).is_connected()
+        assert Graph(4, links).is_connected()
+
+    def test_long_path_is_iterative(self):
+        # a recursive walk would pass Python's recursion limit here
+        assert path_graph(100_000).is_connected()
+        assert not Graph(100_000, path_graph(99_999).edges()).is_connected()
+
+    @pytest.mark.parametrize("n, links", _builder_corpus())
+    def test_agrees_with_naive_oracle(self, n, links):
+        g = Graph(n, links)
+        assert g.is_connected() == naive_connected(g, range(n))
 
     def test_agrees_with_union_find(self):
         rng = np.random.Generator(np.random.PCG64(17))
@@ -327,7 +341,7 @@ class TestIsConnected:
             n = int(rng.integers(1, 25))
             g = generate_er(n, float(rng.uniform(0.0, 0.5)), int(rng.integers(1 << 32)))
             by_union_find = union_find_component_count(g) == 1
-            assert is_connected(g, range(n)) == by_union_find
+            assert g.is_connected() == by_union_find
 
 
 class TestGenerators:
