@@ -316,7 +316,11 @@ def _cmd_compare(args):
     curves = []
     for path in args.files:
         with open(path, "r", encoding="utf-8") as fh:
-            curves.append((path, Curve.from_csv(fh.read())))
+            text = fh.read()
+        try:
+            curves.append((path, Curve.from_csv(text)))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     if len(curves) < 2:
         raise UsageError("compare needs at least two curve files")
     base_grid = curves[0][1].grid

@@ -71,6 +71,8 @@ class Curve:
                 p, v = map(float, ln.split(","))
             except ValueError:
                 raise ValueError(f"line {lineno}: expected two numbers p,value, got {ln!r}") from None
+            if not 0 <= p <= 1:  # NaN too
+                raise ValueError(f"line {lineno}: grid points must lie in [0, 1], got {ln!r}")
             grid.append(p)
             values.append(v)
         return Curve(tuple(grid), tuple(values), metadata or {})

@@ -251,6 +251,9 @@ def degree_distribution(graph: Graph) -> DegreeDistribution:
 # rejects would match with fewer digits or lines.
 _SAVED_FORM = re.compile(r"(?:# nodes ([0-9]{1,18}+)\n)?((?:[0-9]{1,18}+ [0-9]{1,18}+\n)*+)")
 _NODES_LINE = re.compile(r"#\s*nodes\s+([0-9]+)")
+# the most nodes an edge list may name: an empty graph of N nodes costs
+# about 30 bytes per node, so this bounds what a short file can allocate
+MAX_EDGE_LIST_NODES = 10**7
 
 
 def load_edge_list(text: str) -> Graph:
@@ -262,6 +265,9 @@ def load_edge_list(text: str) -> Graph:
     + 1, so unreferenced intermediate ids become degree-0 nodes. Duplicate
     links (including reversed duplicates) collapse to one in `Graph`.
 
+    A node count above MAX_EDGE_LIST_NODES, named by "# nodes N" or implied
+    by an id, is refused before any per-node allocation.
+
     Text in the form `save_edge_list` writes is converted in bulk by numpy;
     any other text, and any error, goes through a per-line loop, which
     names the line of the first bad link in an EdgeListFormatError.
@@ -270,10 +276,12 @@ def load_edge_list(text: str) -> Graph:
     if saved:
         ids = np.array(saved[2].split(), dtype=np.int64)
         n = int(saved[1]) if saved[1] else int(ids.max(initial=-1)) + 1
-        try:
-            return Graph._of_adjacency(n, _adjacency(n, ids[0::2], ids[1::2]))
-        except ValueError:
-            pass  # a self-loop or an id of N or more: the loop names its line
+        # above the node limit, a self-loop or an id of N or more: the loop names the line
+        if n <= MAX_EDGE_LIST_NODES:
+            try:
+                return Graph._of_adjacency(n, _adjacency(n, ids[0::2], ids[1::2]))
+            except ValueError:
+                pass
     edges = []
     max_id = -1
     num_nodes = None  # from a "# nodes N" line
@@ -287,6 +295,12 @@ def load_edge_list(text: str) -> Graph:
                 if edges or num_nodes is not None:
                     raise EdgeListFormatError(f"line {lineno}: '# nodes' must come once, before the first link")
                 num_nodes = int(header[1])
+                if num_nodes >> 63:
+                    raise EdgeListFormatError(f"line {lineno}: node count {num_nodes} does not fit in int64")
+                if num_nodes > MAX_EDGE_LIST_NODES:
+                    raise EdgeListFormatError(
+                        f"line {lineno}: node count {num_nodes} is above the limit of {MAX_EDGE_LIST_NODES}"
+                    )
             continue
         parts = stripped.split()
         if len(parts) != 2:
@@ -303,6 +317,10 @@ def load_edge_list(text: str) -> Graph:
             raise EdgeListFormatError(f"line {lineno}: self-loop {u} {v} not allowed")
         if num_nodes is not None and max(u, v) >= num_nodes:
             raise EdgeListFormatError(f"line {lineno}: node id {max(u, v)} out of range for {num_nodes} nodes")
+        if max(u, v) >= MAX_EDGE_LIST_NODES:
+            raise EdgeListFormatError(
+                f"line {lineno}: node id {max(u, v)} needs more nodes than the limit of {MAX_EDGE_LIST_NODES}"
+            )
         edges.append((u, v))
         max_id = max(max_id, u, v)
     return Graph(max_id + 1 if num_nodes is None else num_nodes, edges)

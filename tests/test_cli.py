@@ -212,7 +212,19 @@ class TestCompare:
         a = tmp_path / "a.csv"
         a.write_text("p,value\n0,1\nnan,0.5\n")
         assert run_cli(["compare", a, a]) == 1
-        assert capsys.readouterr().err == "error: grid points must lie in [0, 1]\n"
+        assert capsys.readouterr().err == f"error: {a}: line 3: grid points must lie in [0, 1], got 'nan,0.5'\n"
+
+    @pytest.mark.parametrize("bad", ["first", "second"])
+    def test_bad_row_names_its_file(self, tmp_path, capsys, bad):
+        good = tmp_path / "good.csv"
+        run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 3, "--out", good])
+        broken = tmp_path / "broken.csv"
+        broken.write_text("p,value\n0,1\n\n0.5,1,2\n1,0\n")
+        files = [broken, good] if bad == "first" else [good, broken]
+        assert run_cli(["compare", *files]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {broken}: line 4: expected two numbers p,value, got '0.5,1,2'\n"
+        )
 
     def test_grid_mismatch_exit_1(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -247,6 +259,13 @@ class TestUsageErrors:
         g.write_text("0 1\n10000000000000000000 1\n")
         assert run_cli(["approx", "stochastic", "--input", g]) == 1
         assert capsys.readouterr().err.startswith("error: line 2: node id 10000000000000000000")
+
+    def test_input_id_above_node_limit(self, tmp_path, capsys):
+        # 10^10 nodes would need about 75 GiB of adjacency: refused up front
+        g = tmp_path / "huge.edges"
+        g.write_text("10000000000 1\n")
+        assert run_cli(["approx", "stochastic", "--input", g]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1: node id 10000000000 needs more nodes than the limit")
 
     @pytest.mark.parametrize("argv", [
         ["exact", "--family", "path", "--n", 3, "--ps", "0.1,abc"],

@@ -249,6 +249,25 @@ class TestEdgeList:
             load_edge_list(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("# nodes 10000000000000000000\n0 1\n", "line 1: node count 10000000000000000000 does not fit in int64"),
+        ("# nodes 10000001\n0 1\n", "line 1: node count 10000001 is above the limit of 10000000"),
+        ("# c\n# nodes 10000001\n0 1\n", "line 2: node count 10000001 is above the limit of 10000000"),
+        ("0 1\n10000000000 1\n", "line 2: node id 10000000000 needs more nodes than the limit of 10000000"),
+        ("# c\n1 10000000\n", "line 2: node id 10000000 needs more nodes than the limit of 10000000"),
+    ], ids=["nodes-beyond-int64", "nodes-bulk-form", "nodes-loop", "id-bulk-form", "id-loop"])
+    def test_node_count_above_limit_refused_before_allocation(self, text, message):
+        assert graph_module.MAX_EDGE_LIST_NODES == 10**7
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListFormatError) as err:
+                load_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 1 << 20
+
     def test_round_trip_normalizes(self):
         text = "# c\n2 1\n0 1\n1 2\n"
         normalized = save_edge_list(load_edge_list(text))

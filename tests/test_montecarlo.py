@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from relpoly import (
     estimate_link_cut_fractions,
     estimate_node_cut_fractions,
     family_node_coefficients,
+    generate_ba,
     generate_er,
     generate_lattice,
+    generate_rgg,
     laplace_curve,
     laplace_estimate,
     link_reliability,
@@ -25,6 +28,7 @@ from relpoly import (
     path_graph,
     star_graph,
 )
+from relpoly import montecarlo
 from relpoly.montecarlo import _count_range, _permutation, mix_seed
 from oracle import (
     estimate_link_reliability_curve,
@@ -160,15 +164,16 @@ def _sweep_graphs():
 SWEEP_GRAPHS = _sweep_graphs()
 
 
-def _oracle_counts(g, seed, runs):
+def _oracle_counts(g, seed, runs, node=True):
     """Node and link counts of runs 0..runs-1 by the plain kernels."""
     n, l = g.num_nodes, g.num_links
-    node = [0] * (n + 1)
+    nodes = [0] * (n + 1)
     link = [0] * (l + 1)
     for r in range(runs):
-        node_disconnection_into(g.adjacency, n, _permutation(n, mix_seed(seed, r)), node)
+        if node:
+            node_disconnection_into(g.adjacency, n, _permutation(n, mix_seed(seed, r)), nodes)
         link_disconnection_into(g.edges(), n, l, _permutation(l, mix_seed(seed, r)), link)
-    return node, link
+    return nodes, link
 
 
 class TestSweepsEqualOracle:
@@ -213,6 +218,82 @@ class TestSweepsEqualOracle:
         node, link = _oracle_counts(g, 31, 120)
         assert estimate_node_cut_fractions(g, 120, 31, workers).counts == tuple(node)
         assert estimate_link_cut_fractions(g, 120, 31, workers).counts == tuple(link)
+
+
+def _dumbbell(k):
+    """Two k-cliques joined by the one bridge (k - 1, k)."""
+    clique = list(itertools.combinations(range(k), 2))
+    return Graph(2 * k, clique + [(u + k, v + k) for u, v in clique] + [(k - 1, k)])
+
+
+# every graph here has at least _LABEL_MIN_LINKS links, so its link runs
+# start at the isolation bound
+LABELLED_GRAPHS = [
+    ("er:1000,0.014", generate_er(1000, 0.014, 1)),
+    ("rgg:2000,0.05", generate_rgg(2000, 0.05, 1)),
+    ("ba:2000,3", generate_ba(2000, 3, 1)),
+    ("lattice:30x30", generate_lattice((30, 30))),
+    ("path:600", path_graph(600)),
+    ("cycle:600", cycle_graph(600)),
+    ("dumbbell:17", _dumbbell(17)),
+    ("er:600,0.004", generate_er(600, 0.004, 3)),  # disconnected
+]
+_LABELLED_ORACLE = {}
+
+
+def _labelled_oracle_counts(label, g, runs):
+    if label not in _LABELLED_ORACLE:
+        _LABELLED_ORACLE[label] = _oracle_counts(g, 97, runs, node=False)[1]
+    return _LABELLED_ORACLE[label]
+
+
+class TestLinkLabellingEqualsOracle:
+    """Link sweeps that start from a numpy labelling at the isolation bound,
+    against the plain union-find kernel in tests/oracle.py."""
+
+    RUNS = 40
+
+    def test_corpus(self):
+        for label, g in LABELLED_GRAPHS:
+            assert g.num_links >= montecarlo._LABEL_MIN_LINKS, label
+            assert g.is_connected() == (label != "er:600,0.004"), label
+
+    @pytest.mark.parametrize("label,g", LABELLED_GRAPHS, ids=[x for x, _ in LABELLED_GRAPHS])
+    def test_run_counts(self, label, g):
+        counts = _count_range("link", g.links, g.num_nodes, g.num_links, 97, 0, self.RUNS)
+        assert counts == _labelled_oracle_counts(label, g, self.RUNS)
+
+    @pytest.mark.parametrize("label,g", LABELLED_GRAPHS, ids=[x for x, _ in LABELLED_GRAPHS])
+    def test_link_profiles(self, label, g):
+        rng = np.random.Generator(np.random.PCG64(g.num_links))
+        for _ in range(8):
+            order = rng.permutation(g.num_links).tolist()
+            assert link_removal_profile(g, order) == _oracle_link_flags(g, order)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("label,g", LABELLED_GRAPHS, ids=[x for x, _ in LABELLED_GRAPHS])
+    def test_estimates(self, label, g, workers):
+        est = estimate_link_cut_fractions(g, self.RUNS, 97, workers)
+        assert est.counts == tuple(_labelled_oracle_counts(label, g, self.RUNS))
+
+    def test_both_exits_reached(self, monkeypatch):
+        # the union-find kernel runs only when the labelling leaves more than
+        # one component; otherwise the run ends at the isolation bound
+        fallbacks = {}
+        kernel = montecarlo._link_connection_threshold
+
+        def spy(edges, perm, start, parent, size, ncomp):
+            fallbacks[label] += 1
+            assert ncomp > 1 and start < len(edges) - 1
+            return kernel(edges, perm, start, parent, size, ncomp)
+
+        monkeypatch.setattr(montecarlo, "_link_connection_threshold", spy)
+        for label, g in LABELLED_GRAPHS[:-1]:
+            fallbacks[label] = 0
+            _count_range("link", g.links, g.num_nodes, g.num_links, 97, 0, self.RUNS)
+        assert fallbacks["er:1000,0.014"] < self.RUNS
+        assert fallbacks["path:600"] == fallbacks["cycle:600"] == self.RUNS
+        assert fallbacks["dumbbell:17"] > 0
 
 
 class TestCurves:
