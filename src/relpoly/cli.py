@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .curve import Curve, probability_grid
 from .errors import CapacityError, EdgeListFormatError
 from .graph import (
     FAMILIES,
+    MAX_EDGE_LIST_NODES,
     Graph,
     generate_ba,
     generate_er,
@@ -34,8 +36,18 @@ class UsageError(Exception):
     pass
 
 
+def _check_node_count(num_nodes: int, source: str):
+    """Refuse a graph source of more nodes than an edge list may name."""
+    if num_nodes > MAX_EDGE_LIST_NODES:
+        raise CapacityError(f"{source} has {num_nodes} nodes, above the limit of {MAX_EDGE_LIST_NODES}")
+
+
 def _parse_gen_spec(spec: str, seed: int) -> Graph:
-    """Inline generator specs: er:N,PL  rgg:N,R  ba:N,M  lattice:D1xD2[xD3]."""
+    """Inline generator specs: er:N,PL  rgg:N,R  ba:N,M  lattice:D1xD2[xD3].
+
+    A spec of more than MAX_EDGE_LIST_NODES nodes is a CapacityError,
+    raised before anything is built.
+    """
     # name -> (generator, type of its second parameter)
     pairs = {"er": (generate_er, float), "rgg": (generate_rgg, float), "ba": (generate_ba, int)}
     try:
@@ -43,9 +55,13 @@ def _parse_gen_spec(spec: str, seed: int) -> Graph:
         if name in pairs:
             generate, second = pairs[name]
             n_s, x_s = args.split(",")
-            return generate(int(n_s), second(x_s), seed)
+            n, x = int(n_s), second(x_s)
+            _check_node_count(n, spec)
+            return generate(n, x, seed)
         if name == "lattice":
             dims = [int(d) for d in args.split("x")]
+            if min(dims) > 0:
+                _check_node_count(math.prod(dims), spec)
             return generate_lattice(dims)
     except ValueError as err:
         raise UsageError(f"bad generator spec {spec!r}: {err}") from None
@@ -64,8 +80,10 @@ def _load_graph(args) -> tuple:
         return _parse_gen_spec(args.gen, getattr(args, "gen_seed", 0)), args.gen
     if args.n is None:
         raise UsageError("--family requires --n")
+    label = f"{args.family}:{args.n}"
+    _check_node_count(args.n, label)
     builder, _ = FAMILIES[args.family]
-    return builder(args.n), f"{args.family}:{args.n}"
+    return builder(args.n), label
 
 
 def _probability_list(text: str) -> tuple:

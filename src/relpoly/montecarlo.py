@@ -18,7 +18,16 @@ last link, so the links present one removal earlier are labelled in one
 numpy component pass, and the union-find sweep runs only if they leave
 more than one component. A node sweep skips the finds while the inserted
 nodes form one component: a new node then joins it exactly when it has an
-inserted neighbour.
+inserted neighbour. On graphs of at least _NODE_SHORTCUT_MIN_NODES nodes
+and a mean degree of at most _NODE_SHORTCUT_MAX_MEAN_DEGREE it also starts
+late and jumps. A node is isolated from the removal of its last neighbour
+until its own removal, so numpy reads off the removal order the suffix of
+removal counts whose residual has an isolated node; the residual just
+below it is labelled in one numpy pass, and the sweep starts there. While
+one component remains, it jumps straight to the next node with no
+neighbour behind it in the order, the only kind that starts a new
+component. Smaller or denser graphs keep the plain sweep: there the numpy
+setup costs more than the Python steps it saves.
 
 Runs are seeded individually by mixing the root seed with the run index,
 so results do not depend on how runs are split across worker processes.
@@ -31,6 +40,7 @@ import logging
 import multiprocessing
 import operator
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +54,11 @@ _SMALL_PERMUTATION = 32
 # link sweeps from this many links up start at the isolation bound (see
 # _link_threshold); below it the numpy setup costs more than it saves
 _LABEL_MIN_LINKS = 256
+# node sweeps on graphs this large and at most this dense start from the
+# isolated-node suffix and jump across one-component stretches (see
+# _node_run); on smaller or denser graphs the numpy setup costs more
+_NODE_SHORTCUT_MIN_NODES = 500
+_NODE_SHORTCUT_MAX_MEAN_DEGREE = 16
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -119,59 +134,161 @@ def _permutation(n: int, run_seed: int) -> list:
     return perm
 
 
+def _node_sweep(adj, perm, start: int, inserted, parent, size, ncomp: int, out, starts=None):
+    """Add 1 to out[t] for every t <= start whose residual perm[t:] is disconnected.
+
+    Nodes are inserted from perm[start] down to perm[0] into the union-find
+    state (inserted, parent, size, ncomp), which holds the nodes
+    perm[start + 1:], at least one of them: inserted[v] is True for those, and
+    sizes are true at their roots. perm needs entries 0..start + 1 only.
+
+    While the inserted nodes form one component, a new node joins it exactly
+    when it has an inserted neighbour. Without starts, that neighbour is
+    searched for and the new node is hung under it, with no find. starts is
+    the sorted list of the positions whose node has no neighbour at a larger
+    position. With it, the sweep jumps from t to the largest such w <= t:
+    the flags between stay clear, and only if w exists are the skipped nodes
+    hung under the component's root. A node with no inserted neighbour
+    starts a second component and drops the sweep to union-find by size with
+    path halving, until the count returns to one. There the new node's root
+    is carried along, so each inserted neighbour costs one find.
+    """
+    n = len(parent)
+    while start >= 0:
+        if ncomp == 1 and starts is not None:
+            k = bisect_right(starts, start)
+            if not k:
+                return
+            w = starts[k - 1]
+            x = perm[start + 1]
+            while parent[x] != x:
+                x = parent[x]
+            for v in perm[w + 1 : start + 1]:
+                parent[v] = x
+                inserted[v] = True
+            size[x] = n - 1 - w
+            inserted[perm[w]] = True
+            ncomp = 2
+            out[w] += 1
+            start = w - 1
+        for t in range(start, -1, -1):
+            v = perm[t]
+            inserted[v] = True
+            if ncomp == 1:  # reached only without starts
+                for u in adj[v]:
+                    if inserted[u]:
+                        parent[v] = u
+                        break
+                else:
+                    # the single component's root gets its true size back
+                    x = perm[t + 1]
+                    while parent[x] != x:
+                        x = parent[x]
+                    size[x] = n - 1 - t
+                    ncomp = 2
+                    out[t] += 1
+                continue
+            ncomp += 1
+            x = v  # the root of v's component as it grows
+            for u in adj[v]:
+                if inserted[u]:
+                    y = u
+                    while parent[y] != y:
+                        parent[y] = parent[parent[y]]
+                        y = parent[y]
+                    if x != y:
+                        if size[x] < size[y]:
+                            x, y = y, x
+                        parent[y] = x
+                        size[x] += size[y]
+                        ncomp -= 1
+            if ncomp != 1:
+                out[t] += 1
+            elif starts is not None:
+                start = t - 1
+                break
+        else:
+            return
+
+
 def _node_disconnection_into(adj, n: int, perm, out):
     """Add 1 to out[j] for every j in 0..N whose residual is disconnected.
 
-    perm is the removal order; insertion proceeds from its tail. The residual
-    after j removals is connected iff exactly one component remains among the
-    N - j inserted nodes; the empty residual (j = N) is disconnected.
-
-    While the inserted nodes form one component, a new node joins it exactly
-    when it has an inserted neighbour: it is hung under the first one found
-    and no find runs. A node with no inserted neighbour starts a second
-    component and drops the sweep to union-find by size with path halving,
-    until the count returns to one. There the new node's root is carried
-    along, so each inserted neighbour costs one find.
+    perm is the removal order; insertion proceeds from its tail, which alone
+    is one component. The residual after j removals is connected iff exactly
+    one component remains among the N - j inserted nodes; the empty residual
+    (j = N) is disconnected.
     """
     out[n] += 1
-    pos = [0] * n
-    for t in range(n):
-        pos[perm[t]] = t
-    parent = list(range(n))
-    size = [1] * n
-    ncomp = 1  # the tail node alone
-    for t in range(n - 2, -1, -1):
-        v = perm[t]
-        if ncomp == 1:
-            for u in adj[v]:
-                if pos[u] > t:
-                    parent[v] = u
-                    break
-            else:
-                # the single component's root gets its true size back
-                x = perm[t + 1]
-                while parent[x] != x:
-                    x = parent[x]
-                size[x] = n - 1 - t
-                ncomp = 2
-                out[t] += 1
-            continue
-        ncomp += 1
-        x = v  # the root of v's component as it grows
-        for u in adj[v]:
-            if pos[u] > t:
-                y = u
-                while parent[y] != y:
-                    parent[y] = parent[parent[y]]
-                    y = parent[y]
-                if x != y:
-                    if size[x] < size[y]:
-                        x, y = y, x
-                    parent[y] = x
-                    size[x] += size[y]
-                    ncomp -= 1
-        if ncomp != 1:
-            out[t] += 1
+    inserted = [False] * n
+    if n:
+        inserted[perm[-1]] = True
+    _node_sweep(adj, perm, n - 2, inserted, list(range(n)), [1] * n, 1, out)
+
+
+def _node_run(adj, ends, perm, out, suffix):
+    """_node_disconnection_into for a permutation array, in three steps.
+
+    1. With last[v] the largest removal position among v's neighbours (-1
+       without links), v is isolated in the residual perm[j:] exactly for
+       last[v] < j <= pos[v]. t0 is the lowest t such that every j in
+       [t, N - 2] has an isolated node. The flags of j in [t0, N - 2] (set),
+       N - 1 (clear) and N (set) go into the difference array suffix, whose
+       prefix sums the caller adds to out.
+    2. The components of the residual perm[t0:] are labelled in numpy.
+    3. _node_sweep continues from t0 - 1 with those labels as its parents,
+       jumping across one-component stretches to the next position whose
+       node has no neighbour at a larger one.
+    """
+    n = len(perm)
+    at = np.arange(n)
+    pos = np.empty(n, np.int64)
+    pos[perm] = at
+    heads, tails = ends
+    ph, pt = pos[heads], pos[tails]
+    last = np.full(n, -1)
+    np.maximum.at(last, heads, pt)
+    np.maximum.at(last, tails, ph)
+    alone = last < pos
+    isolated = np.bincount(last[alone] + 1, minlength=n + 1) - np.bincount(pos[alone] + 1, minlength=n + 1)
+    bare = np.flatnonzero(np.cumsum(isolated[: n - 1]) == 0)
+    t0 = int(bare[-1]) + 1 if len(bare) else 0
+    suffix[t0] += 1
+    suffix[n - 1] -= 1
+    suffix[n] += 1
+    if t0 == 0:
+        return
+    labels = _label_components(n, *ends.compress(np.minimum(ph, pt) >= t0, axis=1))
+    # each of the t0 removed nodes is a root of its own; the other roots are
+    # the residual's components
+    _node_sweep(
+        adj, perm[: t0 + 1].tolist(), t0 - 1, (pos >= t0).tolist(), labels.tolist(),
+        np.bincount(labels, minlength=n).tolist(), int(np.count_nonzero(labels == at)) - t0,
+        out, np.flatnonzero(alone[perm[:t0]]).tolist(),
+    )
+
+
+def _label_components(n: int, heads, tails):
+    """Component labels of nodes 0..n-1 under the links (heads[k], tails[k]).
+
+    Each node's label is the smallest id in its component. Each round hooks
+    every root to the smallest root it is linked to (np.minimum.at) and
+    pointer-jumps until every label is a root (Shiloach & Vishkin,
+    J. Algorithms 3(1), 1982).
+    """
+    labels = np.arange(n)
+    lh, lt = heads, tails
+    while True:
+        # lh and lt are roots here, and a root hooked to itself stays put
+        np.minimum.at(labels, np.maximum(lh, lt), np.minimum(lh, lt))
+        while True:
+            jumped = labels[labels]
+            if (jumped == labels).all():
+                break
+            labels = jumped
+        lh, lt = labels[heads], labels[tails]
+        if (lh == lt).all():
+            return labels
 
 
 def _link_connection_threshold(edges, perm, start: int, parent, size, ncomp: int) -> int:
@@ -208,28 +325,17 @@ def _link_connection_threshold(edges, perm, start: int, parent, size, ncomp: int
     return -1
 
 
-def _link_ends(edges, l: int):
-    """Heads and tails as a (2, L) id array when runs take the labelling path, else None."""
-    if l < _LABEL_MIN_LINKS:
-        return None
-    # fromiter over the flat ids: 0.8 ms for er:1000's 7k links, against
-    # 2.3 ms for np.array of the pairs (2-vCPU Xeon)
-    return np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * l).reshape(l, 2).T.copy()
-
-
 def _link_threshold(edges, ends, n: int, perm) -> int:
     """_link_connection_threshold of a whole removal order.
 
-    ends is _link_ends(edges, L). When it is None, perm is a list and the
-    sweep starts from N single nodes. Otherwise perm is an array, and the
-    sweep starts at the isolation bound t_iso: the smallest, over nodes, of
-    the last removal position among a node's links. After t_iso + 1 removals
-    that node has no link left, so the threshold is at most t_iso. The
-    components of the links perm[t_iso:] are labelled in numpy: each round
-    hooks every root to the smallest root it is linked to (np.minimum.at)
-    and pointer-jumps until every label is a root (Shiloach & Vishkin,
-    J. Algorithms 3(1), 1982). One component gives the threshold t_iso;
-    otherwise the labels seed the union-find sweep from t_iso - 1.
+    ends is _run_ends("link", graph). When it is None, perm is a list and
+    the sweep starts from N single nodes. Otherwise perm is an array, and
+    the sweep starts at the isolation bound t_iso: the smallest, over nodes,
+    of the last removal position among a node's links. After t_iso + 1
+    removals that node has no link left, so the threshold is at most t_iso.
+    The components of the links perm[t_iso:] are labelled in numpy. One
+    component gives the threshold t_iso; otherwise the labels seed the
+    union-find sweep from t_iso - 1.
     """
     if ends is None:
         return _link_connection_threshold(edges, perm, len(edges) - 1, list(range(n)), [1] * n, n)
@@ -241,20 +347,7 @@ def _link_threshold(edges, ends, n: int, perm) -> int:
     t_iso = int(last.min())
     if t_iso < 0:  # a node without links
         return -1
-    heads, tails = heads[t_iso:], tails[t_iso:]
-    labels = np.arange(n)
-    lh, lt = heads, tails
-    while True:
-        # lh and lt are roots here, and a root hooked to itself stays put
-        np.minimum.at(labels, np.maximum(lh, lt), np.minimum(lh, lt))
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        lh, lt = labels[heads], labels[tails]
-        if np.array_equal(lh, lt):
-            break
+    labels = _label_components(n, heads[t_iso:], tails[t_iso:])
     # each label is the smallest id of its component, so one component is all 0
     if not labels.any():
         return t_iso
@@ -263,6 +356,21 @@ def _link_threshold(edges, ends, n: int, perm) -> int:
         edges, perm[:t_iso].tolist(), t_iso - 1, labels.tolist(),
         np.bincount(labels, minlength=n).tolist(), ncomp,
     )
+
+
+def _run_ends(kind: str, graph: Graph):
+    """graph.link_ends when runs of this kind start from a numpy step, else None.
+
+    Link runs do from _LABEL_MIN_LINKS links up. Node runs do on graphs with
+    at least _NODE_SHORTCUT_MIN_NODES nodes and a mean degree of at most
+    _NODE_SHORTCUT_MAX_MEAN_DEGREE.
+    """
+    n, l = graph.num_nodes, graph.num_links
+    if kind == "link":
+        numpy_start = l >= _LABEL_MIN_LINKS
+    else:
+        numpy_start = n >= _NODE_SHORTCUT_MIN_NODES and 2 * l <= _NODE_SHORTCUT_MAX_MEAN_DEGREE * n
+    return graph.link_ends if numpy_start else None
 
 
 def _check_order(order, size: int, what: str) -> list:
@@ -279,37 +387,52 @@ def _check_order(order, size: int, what: str) -> list:
     return order
 
 
+def _node_counts(graph: Graph, ends, orders) -> list:
+    """Disconnection counts for j = 0..N over the removal orders.
+
+    ends is _run_ends("node", graph); the orders are arrays when it is set,
+    else lists.
+    """
+    n, adj = graph.num_nodes, graph.adjacency
+    out = [0] * (n + 1)
+    if ends is None:
+        for perm in orders:
+            _node_disconnection_into(adj, n, perm, out)
+        return out
+    suffix = [0] * (n + 1)
+    for perm in orders:
+        _node_run(adj, ends, perm, out, suffix)
+    return list(map(operator.add, out, itertools.accumulate(suffix)))
+
+
 def node_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..N under one explicit removal order."""
     order = _check_order(removal_order, graph.num_nodes, "node")
-    out = [0] * (graph.num_nodes + 1)
-    _node_disconnection_into(graph.adjacency, graph.num_nodes, order, out)
-    return [bool(x) for x in out]
+    ends = _run_ends("node", graph)
+    return [bool(x) for x in _node_counts(graph, ends, [order if ends is None else np.array(order)])]
 
 
 def link_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..L removed links, nodes always present."""
     l = graph.num_links
     order = _check_order(removal_order, l, "link")
-    ends = _link_ends(graph.links, l)
+    ends = _run_ends("link", graph)
     last = _link_threshold(graph.links, ends, graph.num_nodes, order if ends is None else np.array(order))
     return [False] * (last + 1) + [True] * (l - last)
 
 
-def _count_range(kind, payload, n, l, seed, start, stop):
+def _count_range(kind: str, graph: Graph, seed: int, start: int, stop: int) -> list:
     """Disconnection counts of runs start..stop-1, from the arguments alone."""
+    n, l = graph.num_nodes, graph.num_links
+    ends = _run_ends(kind, graph)
+    draw = _permutation if ends is None else _permutation_array
     if kind == "node":
-        out = [0] * (n + 1)
-        for r in range(start, stop):
-            _node_disconnection_into(payload, n, _permutation(n, mix_seed(seed, r)), out)
-        return out
+        return _node_counts(graph, ends, (draw(n, mix_seed(seed, r)) for r in range(start, stop)))
     # runs[k] counts the runs whose threshold is k - 1; a run is disconnected
     # at every j above its threshold, so the counts are the prefix sums
     runs = [0] * (l + 2)
-    ends = _link_ends(payload, l)
-    draw = _permutation if ends is None else _permutation_array
     for r in range(start, stop):
-        runs[_link_threshold(payload, ends, n, draw(l, mix_seed(seed, r))) + 1] += 1
+        runs[_link_threshold(graph.links, ends, n, draw(l, mix_seed(seed, r))) + 1] += 1
     return list(itertools.accumulate(runs[: l + 1]))
 
 
@@ -320,18 +443,15 @@ def _estimate(graph: Graph, kind: str, runs: int, seed: int, workers) -> CutFrac
         raise ValueError(f"graph must have at least one {kind}")
     if runs < 1:
         raise ValueError("runs must be positive")
-    payload = graph.adjacency if kind == "node" else graph.links
     w = resolve_workers(workers)
     if kind == "link" and not graph.is_connected():
         # no removal connects a disconnected graph: every threshold is -1
         counts = [runs] * (l + 1)
     elif w <= 1 or runs < 4 * w:
-        counts = _count_range(kind, payload, n, l, seed, 0, runs)
+        counts = _count_range(kind, graph, seed, 0, runs)
     else:
         step = max(1, runs // (w * 4))
-        chunks = [
-            (kind, payload, n, l, seed, at, min(at + step, runs)) for at in range(0, runs, step)
-        ]
+        chunks = [(kind, graph, seed, at, min(at + step, runs)) for at in range(0, runs, step)]
         with multiprocessing.get_context("fork").Pool(w) as pool:
             counts = [sum(column) for column in zip(*pool.starmap(_count_range, chunks))]
     return CutFractionEstimate(kind, dim, tuple(counts), runs, seed)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -266,6 +267,36 @@ class TestUsageErrors:
         g.write_text("10000000000 1\n")
         assert run_cli(["approx", "stochastic", "--input", g]) == 1
         assert capsys.readouterr().err.startswith("error: line 1: node id 10000000000 needs more nodes than the limit")
+
+    @pytest.mark.parametrize("source, count", [
+        (["--gen", "lattice:100000x100000"], 10**10),
+        (["--gen", "lattice:10000x1001"], 10010000),
+        (["--gen", "lattice:1000x1000x11"], 11000000),
+        (["--gen", "er:10000001,0.5"], 10000001),
+        (["--gen", "rgg:20000000,0.1"], 20000000),
+        (["--gen", "ba:1000000000,2"], 10**9),
+        (["--family", "path", "--n", 10**9], 10**9),
+        (["--family", "complete", "--n", 10000001], 10000001),
+    ], ids=["lattice-2d", "lattice-2d-just-above", "lattice-3d", "er", "rgg", "ba", "path", "complete"])
+    def test_graph_source_above_node_limit(self, capsys, source, count):
+        # refused before anything is built: a path of 10^9 nodes or a
+        # 10^5 x 10^5 lattice would need tens of GiB
+        tracemalloc.start()
+        try:
+            code = run_cli(["approx", "stochastic", *source])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        label = source[1] if source[0] == "--gen" else f"{source[1]}:{source[3]}"
+        assert capsys.readouterr().err == f"error: {label} has {count} nodes, above the limit of 10000000\n"
+        assert peak < 1 << 20
+
+    def test_generate_above_node_limit(self, tmp_path, capsys):
+        out = tmp_path / "g.edges"
+        assert run_cli(["generate", "--gen", "er:10000001,0.1", "--out", out]) == 1
+        assert "above the limit of 10000000" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["exact", "--family", "path", "--n", 3, "--ps", "0.1,abc"],

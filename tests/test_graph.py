@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,33 @@ class TestGraphBasics:
         edges.append((1, 4))
         assert g.edges() is not edges
         assert len(g.edges()) == g.num_links == len(g.links)
+
+    @pytest.mark.parametrize("g", [
+        cycle_graph(5), Graph(0), Graph(3), Graph(6, [(4, 1), (0, 5), (2, 1)]), generate_er(300, 0.05, 2),
+    ], ids=["cycle:5", "empty", "no-links", "isolated", "er:300"])
+    def test_link_ends_built_once_read_only_and_equal_to_links(self, g, monkeypatch):
+        built = []
+        fromiter = np.fromiter
+        monkeypatch.setattr(np, "fromiter", lambda *a, **k: built.append(1) or fromiter(*a, **k))
+        ends = g.link_ends
+        assert g.link_ends is ends and len(built) == 2  # neighbours and degrees, once
+        assert ends.dtype == np.int64 and ends.shape == (2, g.num_links)
+        assert list(zip(*ends.tolist())) == list(g.links)
+        assert not ends.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ends[0, 0:1] = 0
+
+    def test_pickle_sends_the_adjacency_only(self):
+        # worker processes get the graph this way and rebuild the caches
+        g = generate_er(200, 0.05, 4)
+        ends, links, connected = g.link_ends, g.links, g.is_connected()
+        data = pickle.dumps(g)
+        assert len(data) < len(pickle.dumps((g.adjacency, ends)))
+        h = pickle.loads(data)
+        assert h == g and h.num_nodes == 200 and h.num_links == g.num_links
+        assert h.links == links and h.is_connected() == connected
+        assert h.link_ends is h.link_ends and not h.link_ends.flags.writeable
+        assert np.array_equal(h.link_ends, ends)
 
 
 class TestWithLinks:

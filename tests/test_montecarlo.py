@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -197,10 +198,9 @@ class TestSweepsEqualOracle:
 
     @pytest.mark.parametrize("label,g", SWEEP_GRAPHS, ids=[x for x, _ in SWEEP_GRAPHS])
     def test_run_counts(self, label, g):
-        n, l = g.num_nodes, g.num_links
         node, link = _oracle_counts(g, 97, self.ORDERS)
-        assert _count_range("node", g.adjacency, n, l, 97, 0, self.ORDERS) == node, label
-        assert _count_range("link", g.links, n, l, 97, 0, self.ORDERS) == link, label
+        assert _count_range("node", g, 97, 0, self.ORDERS) == node, label
+        assert _count_range("link", g, 97, 0, self.ORDERS) == link, label
 
     def test_link_profile_without_links(self):
         assert link_removal_profile(Graph(1), []) == [False]
@@ -260,7 +260,7 @@ class TestLinkLabellingEqualsOracle:
 
     @pytest.mark.parametrize("label,g", LABELLED_GRAPHS, ids=[x for x, _ in LABELLED_GRAPHS])
     def test_run_counts(self, label, g):
-        counts = _count_range("link", g.links, g.num_nodes, g.num_links, 97, 0, self.RUNS)
+        counts = _count_range("link", g, 97, 0, self.RUNS)
         assert counts == _labelled_oracle_counts(label, g, self.RUNS)
 
     @pytest.mark.parametrize("label,g", LABELLED_GRAPHS, ids=[x for x, _ in LABELLED_GRAPHS])
@@ -290,10 +290,125 @@ class TestLinkLabellingEqualsOracle:
         monkeypatch.setattr(montecarlo, "_link_connection_threshold", spy)
         for label, g in LABELLED_GRAPHS[:-1]:
             fallbacks[label] = 0
-            _count_range("link", g.links, g.num_nodes, g.num_links, 97, 0, self.RUNS)
+            _count_range("link", g, 97, 0, self.RUNS)
         assert fallbacks["er:1000,0.014"] < self.RUNS
         assert fallbacks["path:600"] == fallbacks["cycle:600"] == self.RUNS
         assert fallbacks["dumbbell:17"] > 0
+
+
+# all but the last two take the node shortcut: at least
+# _NODE_SHORTCUT_MIN_NODES nodes and a mean degree of at most
+# _NODE_SHORTCUT_MAX_MEAN_DEGREE
+SHORTCUT_GRAPHS = [
+    ("er:1000,0.014", generate_er(1000, 0.014, 1)),
+    ("er:500,lnN/N", generate_er(500, math.log(500) / 500, 0)),  # criterion 6's graphs
+    ("er:1000,lnN/N", generate_er(1000, math.log(1000) / 1000, 2)),
+    ("lattice:30x30", generate_lattice((30, 30))),
+    ("ba:1000,3", generate_ba(1000, 3, 1)),
+    ("rgg:1000,0.06", generate_rgg(1000, 0.06, 1)),
+    ("path:2000", path_graph(2000)),
+    ("cycle:500", cycle_graph(500)),
+    ("star:1000", star_graph(1000)),
+    ("isolated:er1000+2", Graph(1002, generate_er(1000, 0.014, 1).edges())),  # two isolated nodes
+    ("er:600,0.004", generate_er(600, 0.004, 3)),
+    ("complete:300", complete_graph(300)),
+    ("er:300,0.3", generate_er(300, 0.3, 1)),
+]
+_UNSHORTCUT = ("complete:300", "er:300,0.3")
+_DISCONNECTED = ("rgg:1000,0.06", "isolated:er1000+2", "er:600,0.004")
+_SHORTCUT_ORACLE = {}
+
+
+def _shortcut_oracle_counts(label, g, runs):
+    if label not in _SHORTCUT_ORACLE:
+        out = [0] * (g.num_nodes + 1)
+        for r in range(runs):
+            node_disconnection_into(g.adjacency, g.num_nodes, _permutation(g.num_nodes, mix_seed(97, r)), out)
+        _SHORTCUT_ORACLE[label] = out
+    return _SHORTCUT_ORACLE[label]
+
+
+def _root(parent, v):
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
+class TestNodeShortcutEqualsOracle:
+    """Node sweeps that start from the isolated-node suffix and a numpy
+    labelling, and jump across one-component stretches, against the plain
+    union-find kernel in tests/oracle.py."""
+
+    RUNS = 40
+
+    def test_corpus(self):
+        for label, g in SHORTCUT_GRAPHS:
+            assert (montecarlo._run_ends("node", g) is None) == (label in _UNSHORTCUT), label
+            assert g.is_connected() == (label not in _DISCONNECTED), label
+
+    @pytest.mark.parametrize("label,g", SHORTCUT_GRAPHS, ids=[x for x, _ in SHORTCUT_GRAPHS])
+    def test_run_counts(self, label, g):
+        counts = _count_range("node", g, 97, 0, self.RUNS)
+        assert counts == _shortcut_oracle_counts(label, g, self.RUNS)
+
+    @pytest.mark.parametrize("label,g", SHORTCUT_GRAPHS, ids=[x for x, _ in SHORTCUT_GRAPHS])
+    def test_node_profiles(self, label, g):
+        rng = np.random.Generator(np.random.PCG64(g.num_nodes))
+        for _ in range(8):
+            order = rng.permutation(g.num_nodes).tolist()
+            assert node_removal_profile(g, order) == _oracle_node_flags(g, order)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("label,g", SHORTCUT_GRAPHS, ids=[x for x, _ in SHORTCUT_GRAPHS])
+    def test_estimates(self, label, g, workers):
+        est = estimate_node_cut_fractions(g, self.RUNS, 97, workers)
+        assert est.counts == tuple(_shortcut_oracle_counts(label, g, self.RUNS))
+
+    def test_every_branch_runs(self, monkeypatch):
+        # t0 = 0 leaves no sweep; a sweep starts from the labels at t0 and
+        # jumps whenever one component remains, to the next node that starts
+        # a new one (hanging the skipped nodes) or past the end
+        seen = {label: collections.Counter() for label, _ in SHORTCUT_GRAPHS}
+        sweep, bisect = montecarlo._node_sweep, montecarlo.bisect_right
+        jumps = []
+
+        def bisect_spy(starts, t):
+            k = bisect(starts, t)
+            jumps.append("to the end" if not k else "to a start, hanging" if starts[k - 1] < t else "to a start")
+            return k
+
+        def sweep_spy(adj, perm, start, inserted, parent, size, ncomp, out, starts=None):
+            assert starts is not None and 0 <= start < len(parent) - 1
+            # t0 = start + 1 is the lowest: the residual one removal earlier has no isolated node
+            residual = {v for v, flag in enumerate(inserted) if flag} | {perm[start]}
+            assert all(any(u in residual for u in adj[v]) for v in residual)
+            seen[label]["sweeps"] += 1
+            seen[label]["labels with several components"] += ncomp > 1
+            jumps.clear()
+            flags = [0] * len(out)
+            sweep(adj, perm, start, inserted, parent, size, ncomp, flags, starts)
+            seen[label].update(jumps)
+            if flags[0]:
+                # the sweep ended in union-find, so every root holds its true size
+                assert all(inserted)
+                roots = collections.Counter(_root(parent, v) for v in range(len(parent)))
+                assert all(size[r] == c for r, c in roots.items())
+                seen[label]["sizes checked after a hanging jump"] += "to a start, hanging" in jumps
+            for t, f in enumerate(flags):
+                out[t] += f
+
+        monkeypatch.setattr(montecarlo, "_node_sweep", sweep_spy)
+        monkeypatch.setattr(montecarlo, "bisect_right", bisect_spy)
+        for label, g in SHORTCUT_GRAPHS[:-2]:
+            counts = _count_range("node", g, 97, 0, self.RUNS)
+            assert counts == _shortcut_oracle_counts(label, g, self.RUNS), label
+        sweeps = {label: c["sweeps"] for label, c in seen.items()}
+        assert sweeps["er:600,0.004"] < self.RUNS  # t0 = 0 in the other runs
+        assert sweeps["er:1000,0.014"] == self.RUNS
+        total = sum(seen.values(), collections.Counter())
+        assert total["labels with several components"] > 0
+        assert total["to a start, hanging"] > 0 and total["to the end"] > 0
+        assert seen["isolated:er1000+2"]["sizes checked after a hanging jump"] > 0
 
 
 class TestCurves:
