@@ -33,6 +33,11 @@ CASES = (
                     "--coeffs-out", "exact-link.json", "--out", "exact-link.csv"]),
     ("exact-node-gen", ["exact", "--gen", "ba:9,2", "--gen-seed", "2", "--ps", "0.1,0.25,0.5,0.9"]),
     *(
+        (f"exact-link-{name}", ["exact", "--gen", spec, "--kind", "link", "--grid", "21",
+                                "--coeffs-out", f"exact-link-{name}.json"])
+        for name, spec in (("er", "er:12,0.35"), ("lattice", "lattice:4x4"))  # L = 24 each
+    ),
+    *(
         (f"closed-form-{family}", ["closed-form", "--family", family, "--n", "7", "--grid", "11",
                                    "--out", f"cf-{family}.csv"])
         for family in ("complete", "complete-pendant", "cycle", "path", "star", "star-pendant")
@@ -80,6 +85,7 @@ CASES = (
     ("cutsets-exact-node", ["cutsets", "--input", "er12.edges", "--kind", "node"]),
     ("cutsets-exact-link", ["cutsets", "--family", "cycle", "--n", "6", "--kind", "link",
                             "--out", "cut-link.json"]),
+    ("cutsets-exact-link-ba", ["cutsets", "--gen", "ba:9,2", "--kind", "link"]),  # L = 15
     ("cutsets-mc-node", ["cutsets", "--family", "path", "--n", "6", "--source", "mc", "--runs", "500",
                          "--seed", "3", "--workers", "1"]),
     ("cutsets-mc-link", ["cutsets", "--family", "star", "--n", "5", "--kind", "link", "--source", "mc",
@@ -126,6 +132,12 @@ EXPECTED = {
         'exact-link.json': 'db4c31d0dcd0a674a0b88220097527e63a13216bbafc3d6542f593afabbb2c8d',
     }),
     'exact-node-gen': (0, '8326a1d71d57c28adb99a3b14279246d1bc041d22f9d0e09872487b8cc00c139', {}),
+    'exact-link-er': (0, '1ef90189d918bcb4bc0cba7f7ff3f0469231f91e545444f429a610afdefbba2c', {
+        'exact-link-er.json': '9f5449bed0141d9698474cdc3cad1d913203a5b7469f849c0fc7ea302d803f70',
+    }),
+    'exact-link-lattice': (0, 'aa872b4ca0ff2c33cdf0b3366a1012c922097f246adb81a95b140782392f6d58', {
+        'exact-link-lattice.json': 'e9b8641b3e2a501d29c5597f41fe8d8972ecce194a201d8963cec7cd0c9c842a',
+    }),
     'closed-form-complete': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
         'cf-complete.csv': '003c204227003cb22211c48d8f7f6195f83ce2a258b6b3da4589a2a1d046af99',
         'cf-complete.csv.meta.json': '471c6f0de36e13a9acd0987f7fc0fa199c5188fc0140eedca6d211615b6652b2',
@@ -233,6 +245,7 @@ EXPECTED = {
     'cutsets-exact-link': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
         'cut-link.json': '61e7beb96709658a8f023ba157f2a557cb422a645075818bfdea2343591744c1',
     }),
+    'cutsets-exact-link-ba': (0, '66de02463b4f581032b311da06d14cac72df2f779f6e941c97c6bc67cbc2ef3c', {}),
     'cutsets-mc-node': (0, '2464580ee2ef004b525cbe6f19243a8a6b4a4e138a439cb54adc5aaba64fc61c', {}),
     'cutsets-mc-link': (0, '0b6f30c42da98f6320eff36349add901fb484247e84252ba90c16dcbefd1e55a', {}),
     'cutsets-float-probes': (0, 'ac5e423d0a4977568f5236747d69cebc273ceabe6474a5e043f044b425f1a846', {}),
