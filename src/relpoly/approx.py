@@ -19,7 +19,7 @@ from .errors import ConnectivityWarning
 from .graph import Graph
 
 
-def _stochastic_curve(graph: Graph, grid, kind: str, label=None) -> Curve:
+def _stochastic_curve(graph: Graph, grid, kind: str) -> Curve:
     """(1 - phi_D(1-p))^(N p) for kind "node", (1 - phi_D(1-p))^N for "link",
     on a grid."""
     grid = tuple(grid)
@@ -41,7 +41,7 @@ def _stochastic_curve(graph: Graph, grid, kind: str, label=None) -> Curve:
         phi = graph.degree_distribution().pgf(1.0 - p)
         exponent = n * p if kind == "node" else n
         values.append(0.0 if phi >= 1.0 else math.exp(exponent * math.log1p(-phi)))
-    return Curve(grid, tuple(values), {"method": "stochastic", "kind": kind, "graph": label})
+    return Curve(grid, tuple(values), {"method": "stochastic", "kind": kind})
 
 
 def stochastic_node_reliability(graph: Graph, p: float) -> float:
@@ -235,9 +235,9 @@ def rgg_node_reliability(model: RggModel, p: float) -> float:
 # curve conveniences (used by the CLI and demos)
 
 
-def stochastic_node_curve(graph: Graph, grid, label=None) -> Curve:
-    return _stochastic_curve(graph, grid, "node", label)
+def stochastic_node_curve(graph: Graph, grid) -> Curve:
+    return _stochastic_curve(graph, grid, "node")
 
 
-def stochastic_link_curve(graph: Graph, grid, label=None) -> Curve:
-    return _stochastic_curve(graph, grid, "link", label)
+def stochastic_link_curve(graph: Graph, grid) -> Curve:
+    return _stochastic_curve(graph, grid, "link")

@@ -223,7 +223,7 @@ def _approx_stochastic(args):
     graph, label = _load_graph(args)
     grid = _grid_from(args)
     by_kind = {"node": approx.stochastic_node_curve, "link": approx.stochastic_link_curve}
-    _emit_curve(by_kind[args.kind](graph, grid, label), args, label)
+    _emit_curve(by_kind[args.kind](graph, grid), args, label)
 
 
 def _approx_bounds(args):

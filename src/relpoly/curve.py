@@ -61,7 +61,7 @@ class Curve:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_csv(text: str, metadata: dict | None = None) -> "Curve":
+    def from_csv(text: str) -> "Curve":
         lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if not lines or lines[0][1].strip() != "p,value":
             raise ValueError('curve CSV must start with the header "p,value"')
@@ -75,7 +75,7 @@ class Curve:
                 raise ValueError(f"line {lineno}: grid points must lie in [0, 1], got {ln!r}")
             grid.append(p)
             values.append(v)
-        return Curve(tuple(grid), tuple(values), metadata or {})
+        return Curve(tuple(grid), tuple(values))
 
     def metadata_json(self) -> str:
         keys = ("method", "seed", "runs", "graph", "kind")

@@ -143,9 +143,7 @@ def _solve(system: ProbeSystem) -> list:
     return [Fraction(sum(s * form[j] for s, form in zip(scaled, forms)), den) for j in range(n + 1)]
 
 
-def recover_cut_counts(
-    system: ProbeSystem, rounding: bool = True, cap: int = DEFAULT_DIMENSION_CAP
-) -> CutCountRecovery:
+def recover_cut_counts(system: ProbeSystem, rounding: bool = True) -> CutCountRecovery:
     """Solve the probe system for the cut-set count vector.
 
     The solve is exact for every system (float entries are read as the
@@ -155,10 +153,8 @@ def recover_cut_counts(
     counts outside [0, C(n,j)], in `flags`.
     """
     n = system.dimension
-    if n > cap:
-        raise CapacityError(
-            f"probe systems condition too badly past n={cap}; got n={n}"
-        )
+    if n > DEFAULT_DIMENSION_CAP:
+        raise CapacityError(f"cut-set recovery: n={n} exceeds the cap of {DEFAULT_DIMENSION_CAP}")
     raw = tuple(float(x) for x in _solve(system))
 
     flags = []

@@ -12,10 +12,12 @@ counting as disconnected). The two count vectors are tied together by
 S_k + C_{N-k} = C(N,k). The link variant counts F_j, the j-link removals
 that keep the graph connected.
 
-Both count vectors come from a frontier dynamic program (DP), whose cost
-grows with the number of distinct frontier states rather than with the 2^N
-node subsets or 2^L link subsets; the states stay few on narrow graphs and
-on dense ones. N (or L) above the cap, 24 by default, is refused.
+Both count vectors come from one frontier dynamic program (DP) over the
+vertices, whose cost grows with the number of distinct frontier states
+rather than with the 2^N node subsets or 2^L link subsets; the states stay
+few on narrow graphs and on dense ones. Link counts are the node counts of
+the subdivided graph, where every link becomes a node that may fail between
+two ends that may not. N (or L) above the cap, 24 by default, is refused.
 """
 
 from __future__ import annotations
@@ -146,12 +148,12 @@ class ReliabilityCoefficients:
 #
 # Vertices are taken one at a time (Hardy, Lucet & Limnios, IEEE Trans. Rel.
 # 56(3), 2007). A state is the sorted tuple of one bitmask per component that
-# can still grow: its unprocessed neighbours in the node DP, its vertices with
-# unprocessed links in the link DP. When a mask empties, its component leaves:
-# alone, it closes the set, which is counted once (every later element must
-# then fail); beside another component, the state dies. A state's value is
-# its count polynomial packed into one int, one digit of `width` bits per
-# power; a digit counts at most C(n, k) < 2^width sets, so none overflows.
+# can still grow: its unprocessed neighbours. When a mask empties, its
+# component leaves: alone, it closes the set, which is counted once (every
+# later vertex must then fail); beside another component, the state dies. A
+# state's value is its count polynomial packed into one int, one digit of
+# `width` bits per power; a digit counts at most C(n, k) < 2^width sets, so
+# none overflows. Link counts run the same DP on the subdivided graph.
 
 
 def _frontier_order(graph: Graph) -> list:
@@ -186,14 +188,15 @@ def _frontier_order(graph: Graph) -> list:
     return order
 
 
-def _settle(comps, value: int, states: dict) -> int:
+def _settle(comps, value: int, states: dict, may_close: bool) -> int:
     """Add state `comps` with `value` to `states` unless a component leaves;
-    return the value the state closes with (0 unless its one component left)."""
+    return the value the state closes with (0 unless its one component left
+    and it `may_close`)."""
     if all(comps):
         key = tuple(sorted(comps))
         states[key] = states.get(key, 0) + value
         return 0
-    return value if len(comps) == 1 else 0
+    return value if may_close and len(comps) == 1 else 0
 
 
 def _digits(packed: int, width: int, count: int) -> list:
@@ -201,11 +204,16 @@ def _digits(packed: int, width: int, count: int) -> list:
     return [packed >> (k * width) & mask for k in range(count)]
 
 
-def _node_counts(graph: Graph, order) -> list:
+def _node_counts(graph: Graph, order, forced: int = 0) -> list:
     """S_0..S_N by the node frontier DP over `order`, a permutation of the vertices;
-    the value's digit k counts the sets with k present vertices."""
+    the value's digit k counts the sets with k present vertices.
+
+    `forced` is a bit mask of vertices that never fail: they are in every set
+    and not counted in its digit, so there is one digit per number of the
+    other vertices present, and no set closes before the last of them.
+    """
     n = graph.num_nodes
-    width = n + 1
+    width = n - forced.bit_count() + 1
     nbr = [sum(1 << u for u in nb) for nb in graph.adjacency]
     states = {(): 1}
     closed = done = 0
@@ -213,6 +221,9 @@ def _node_counts(graph: Graph, order) -> list:
         vb = 1 << v
         done |= vb
         own = nbr[v] & ~done
+        free = not forced & vb
+        shift = width if free else 0
+        may_close = not forced & ~done  # no forced vertex is left
         grown = {}
         for state, value in states.items():
             hit = 0
@@ -223,49 +234,28 @@ def _node_counts(graph: Graph, order) -> list:
                 else:
                     rest.append(m)
             # v fails: it leaves every mask; v works: it joins the components it touches
-            closed += _settle([m & ~vb for m in state] if hit else state, value, grown)
+            if free:
+                closed += _settle([m & ~vb for m in state] if hit else state, value, grown, may_close)
             rest.append((hit | own) & ~vb)
-            closed += _settle(rest, value << width, grown)
+            closed += _settle(rest, value << shift, grown, may_close)
         states = grown
-    return _digits(closed, width, n + 1)
+    return _digits(closed, width, width)
 
 
 def _link_counts(graph: Graph, order) -> list:
-    """F_0..F_L by the link frontier DP, links taken in `order` of their later
-    endpoint; the value's digit k counts the connected sets of k kept links."""
-    n, l = graph.num_nodes, graph.num_links
-    if not graph.is_connected():
-        return [0] * (l + 1)
-    if l == 0:
-        return [1]  # one node
-    pos = {v: i for i, v in enumerate(order)}
-    links = sorted(graph.edges(), key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])))
-    final = {}
-    for i, (u, v) in enumerate(links):
-        final[u] = final[v] = i
-    width = l + 1
-    states = {(): 1}
-    closed = seen = 0
-    for i, (u, v) in enumerate(links):
-        ub, vb = 1 << u, 1 << v
-        new = [b for b in (ub, vb) if not seen & b]
-        seen |= ub | vb
-        gone = (ub if final[u] == i else 0) | (vb if final[v] == i else 0)
-        grown = {}
-        for state, value in states.items():
-            comps = list(state) + new
-            # the link fails: nothing joins
-            closed += _settle([m & ~gone for m in comps], value, grown)
-            # the link works: u's and v's components join
-            a = next(m for m in comps if m & ub)
-            if not a & vb:
-                b = next(m for m in comps if m & vb)
-                comps.remove(a)
-                comps.remove(b)
-                comps.append(a | b)
-            closed += _settle([m & ~gone for m in comps], value << width, grown)
-        states = grown
-    return _digits(closed, width, l + 1)[::-1]
+    """F_0..F_L by the node frontier DP on the subdivided graph: link i becomes
+    node N + i, which may fail, joined to its two ends, which may not. Each link
+    node comes right after its later end in `order`, ties going to the earlier
+    end; the value's digit k counts the connected sets of k kept links."""
+    n = graph.num_nodes
+    links = graph.edges()
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # sort keys: a vertex at its position, a link node after its later end
+    keys = [(i, -1) for i in pos] + [(max(pos[u], pos[v]), min(pos[u], pos[v])) for u, v in links]
+    sub = Graph(n + len(links), [(w, n + i) for i, ends in enumerate(links) for w in ends])
+    return _node_counts(sub, sorted(range(n + len(links)), key=keys.__getitem__), (1 << n) - 1)[::-1]
 
 
 def enumerate_node_coefficients(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> ReliabilityCoefficients:
@@ -285,10 +275,10 @@ def enumerate_node_coefficients(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 
 def enumerate_link_coefficients(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> ReliabilityCoefficients:
     """Exact F_0..F_L, the number of j-link removals that keep every node of
-    the graph in one component, by the link frontier DP.
+    the graph in one component, by the node frontier DP on the subdivided graph.
 
-    The cost grows with the number of partitions of the frontier, not with
-    2^L: milliseconds at L = 24. L above `cap` raises CapacityError.
+    The cost grows with the number of frontier states, not with 2^L:
+    milliseconds at L = 24. L above `cap` raises CapacityError.
     """
     n = graph.num_nodes
     l = graph.num_links

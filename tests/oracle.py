@@ -9,7 +9,9 @@ So are the two link-addition searches, the library's former pair scan and
 its draw from a table of every unlinked pair, and the two random-graph
 generators that built every candidate pair at once, and the two mask loops
 that checked all 2^N node subsets and all 2^L link subsets before the
-frontier dynamic program replaced them, and the per-node sets that
+frontier dynamic program replaced them, and the partition DP over links
+that counted link sets before the node DP on the subdivided graph took
+over, and the per-node sets that
 built every graph's adjacency before one numpy sort of all links replaced
 them. The last few helpers
 are read only by tests: the matrix of a cut-set probe system
@@ -144,6 +146,58 @@ def mask_link_coefficients(graph):
         if mask_connected(everyone, nbr):
             f[l - kept.bit_count()] += 1
     return ReliabilityCoefficients.link(n, l, f)
+
+
+def partition_link_counts(graph, order):
+    """F_0..F_L by a frontier DP over the links, taken in `order` of their later
+    end (the library's former link DP, before link counts ran the node DP on
+    the subdivided graph). A state is the sorted tuple of one vertex mask per
+    component, holding its vertices that still have unprocessed links; its
+    value packs the count polynomial in the number of kept links, one digit
+    of L + 1 bits per power."""
+    n, l = graph.num_nodes, graph.num_links
+    if not graph.is_connected():
+        return [0] * (l + 1)
+    if l == 0:
+        return [1]  # one node
+    pos = {v: i for i, v in enumerate(order)}
+    links = sorted(graph.edges(), key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])))
+    final = {}
+    for i, (u, v) in enumerate(links):
+        final[u] = final[v] = i
+    width = l + 1
+    states = {(): 1}
+    closed = seen = 0
+
+    def settle(comps, value, grown):
+        # keep the state unless a component left; alone, it closes the set
+        if all(comps):
+            key = tuple(sorted(comps))
+            grown[key] = grown.get(key, 0) + value
+            return 0
+        return value if len(comps) == 1 else 0
+
+    for i, (u, v) in enumerate(links):
+        ub, vb = 1 << u, 1 << v
+        new = [b for b in (ub, vb) if not seen & b]
+        seen |= ub | vb
+        gone = (ub if final[u] == i else 0) | (vb if final[v] == i else 0)
+        grown = {}
+        for state, value in states.items():
+            comps = list(state) + new
+            # the link fails: nothing joins
+            closed += settle([m & ~gone for m in comps], value, grown)
+            # the link works: u's and v's components join
+            a = next(m for m in comps if m & ub)
+            if not a & vb:
+                b = next(m for m in comps if m & vb)
+                comps.remove(a)
+                comps.remove(b)
+                comps.append(a | b)
+            closed += settle([m & ~gone for m in comps], value << width, grown)
+        states = grown
+    mask = (1 << width) - 1
+    return [closed >> (k * width) & mask for k in range(l, -1, -1)]
 
 
 def forward_deletion_profile(graph, removal_order):

@@ -38,6 +38,7 @@ from oracle import (
     mask_link_coefficients,
     mask_node_coefficients,
     node_curve_value_exact,
+    partition_link_counts,
     path_rational_form,
 )
 
@@ -151,6 +152,8 @@ SPECIAL_GRAPHS = [
 ]
 
 LINK_ORACLE_MAX_L = 16  # the 2^L oracle takes about 0.3 s at L = 16
+# on the densest seeded ER graphs, L = 53 and 59, the two link DPs take 2 and 10 s
+PARTITION_ORACLE_MAX_L = 50
 
 
 def _frontier_width(graph, order):
@@ -162,14 +165,30 @@ def _frontier_width(graph, order):
     return widest
 
 
+# link counts that only the partition DP can check, with the cap raised (L = 36-178)
+PAST_MASK_GRAPHS = [
+    *((f"lattice:{a}x{b}", generate_lattice((a, b))) for a, b in ((3, 10), (4, 8), (5, 6), (3, 30), (2, 60))),
+    ("ba:30,2@1", generate_ba(30, 2, 1)),
+    ("er:16,0.3@1", generate_er(16, 0.3, 1)),
+]
+
+
+def check_partitions(label, g):
+    f = enumerate_link_coefficients(g, cap=g.num_links).kept_counts
+    assert list(f) == partition_link_counts(g, _frontier_order(g)), label
+
+
 class TestFrontierEqualsMasks:
-    """The frontier DP against the 2^N and 2^L mask loops in tests/oracle.py."""
+    """The frontier DP against the 2^N and 2^L mask loops in tests/oracle.py,
+    and link counts past the reach of the 2^L loop against the partition DP."""
 
     @staticmethod
     def check(label, g):
         assert enumerate_node_coefficients(g) == mask_node_coefficients(g), label
         if g.num_links <= LINK_ORACLE_MAX_L:
             assert enumerate_link_coefficients(g) == mask_link_coefficients(g), label
+        elif g.num_links <= PARTITION_ORACLE_MAX_L:
+            check_partitions(label, g)
 
     def test_corpus(self, corpus):
         for label, g in corpus:
@@ -194,6 +213,19 @@ class TestFrontierEqualsMasks:
                 assert tuple(_node_counts(g, order)) == node, (label, order)
                 if link is not None:
                     assert tuple(_link_counts(g, order)) == link, (label, order)
+
+    def test_seeded_er_under_random_orders(self):
+        # a random order makes the densest graphs slow in both DPs: 21 s each at L = 59
+        rng = np.random.Generator(np.random.PCG64(79))
+        for label, g in _seeded_er_graphs():
+            order = rng.permutation(g.num_nodes).tolist()
+            if g.num_links > 30:
+                continue
+            assert _link_counts(g, order) == partition_link_counts(g, order), (label, order)
+
+    @pytest.mark.parametrize("label,g", PAST_MASK_GRAPHS, ids=[label for label, _ in PAST_MASK_GRAPHS])
+    def test_link_counts_past_the_mask_oracle(self, label, g):
+        check_partitions(label, g)
 
     def test_order_is_a_permutation(self, corpus):
         for label, g in SPECIAL_GRAPHS + corpus:
