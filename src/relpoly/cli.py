@@ -70,14 +70,14 @@ def _parse_gen_spec(spec: str, seed: int) -> Graph:
 
 def _load_graph(args) -> tuple:
     """Resolve --input / --gen / --family into (graph, label)."""
-    sources = [s for s in ("input", "gen", "family") if getattr(args, s, None)]
+    sources = [s for s in (args.input, args.gen, args.family) if s]
     if len(sources) != 1:
         raise UsageError("exactly one of --input, --gen, or --family is required")
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             return load_edge_list(fh.read()), args.input
-    if getattr(args, "gen", None):
-        return _parse_gen_spec(args.gen, getattr(args, "gen_seed", 0)), args.gen
+    if args.gen:
+        return _parse_gen_spec(args.gen, args.gen_seed), args.gen
     if args.n is None:
         raise UsageError("--family requires --n")
     label = f"{args.family}:{args.n}"
@@ -106,6 +106,16 @@ def _probe_list(text: str) -> list:
         return [Fraction(tok) if "/" in tok else float(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--probes takes comma-separated numbers or fractions, got {text!r}") from None
+
+
+def _power(text: str):
+    """Type of compare --power: a number, or the letter "p" for the grid coordinate."""
+    if text == "p":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError('--power takes a number or the letter "p"') from None
 
 
 def _grid_from(args):
@@ -236,8 +246,6 @@ def _approx_bounds(args):
 
 
 def _approx_er(args):
-    if args.n is None or args.pl is None:
-        raise UsageError("approx er needs --n and --pl")
     model = approx.ErModel(args.n, args.pl)
     grid = _grid_from(args)
     values = tuple(approx.er_node_reliability(model, p) for p in grid)
@@ -246,8 +254,6 @@ def _approx_er(args):
 
 
 def _approx_rgg(args):
-    if args.n is None or args.r is None:
-        raise UsageError("approx rgg needs --n and --r")
     model = approx.RggModel(args.n, args.r)
     grid = _grid_from(args)
     # the formula needs at least one expected survivor; skip grid points below that
@@ -265,8 +271,6 @@ def _approx_rgg(args):
 
 
 def _approx_er_intersection(args):
-    if None in (args.n, args.pl, args.n2, args.pl2):
-        raise UsageError("approx er-intersection needs --n, --pl, --n2, and --pl2")
     res = approx.er_intersection(approx.ErModel(args.n, args.pl), approx.ErModel(args.n2, args.pl2))
     payload = {"p": res.p, "value": res.value, "inside": res.inside}
     if res.note:
@@ -275,30 +279,19 @@ def _approx_er_intersection(args):
 
 
 def _approx_er_width(args):
-    if args.n is None or args.pl is None:
-        raise UsageError("approx er-width needs --n and --pl")
     width = approx.er_transition_width(approx.ErModel(args.n, args.pl), args.lo, args.hi)
     _write(args.out, json.dumps({"width": width}, sort_keys=True) + "\n")
 
 
-_APPROX_METHODS = {
-    "stochastic": _approx_stochastic,
-    "bounds": _approx_bounds,
-    "er": _approx_er,
-    "rgg": _approx_rgg,
-    "er-intersection": _approx_er_intersection,
-    "er-width": _approx_er_width,
-}
-
-
 def _cmd_approx(args):
-    _APPROX_METHODS[args.method](args)
+    args.handler(args)
     return 0
 
 
 def _cmd_cutsets(args):
     graph, label = _load_graph(args)
     dim = graph.num_nodes if args.kind == "node" else graph.num_links
+    cutset.check_dimension(dim)
     if args.source == "exact":
         by_kind = {"node": cutset.exact_node_curve_source, "link": cutset.exact_link_curve_source}
         source = by_kind[args.kind](_coefficients(args, graph, args.kind))
@@ -346,16 +339,9 @@ def _cmd_compare(args):
         if c.grid != base_grid:
             raise ValueError(f"grid mismatch between {args.files[0]} and {path}")
     if args.power is not None:
-        if args.power == "p":
-            power = None  # grid coordinate
-        else:
-            try:
-                power = float(args.power)
-            except ValueError:
-                raise UsageError('--power takes a number or the letter "p"') from None
         transformed = [curves[0]]
         for path, c in curves[1:]:
-            exponents = c.grid if power is None else [power] * len(c.grid)
+            exponents = c.grid if args.power == "p" else [args.power] * len(c.grid)
             vals = tuple(v**g for v, g in zip(c.values, exponents))
             transformed.append((path, Curve(c.grid, vals)))
         curves = transformed
@@ -375,28 +361,6 @@ def _cmd_compare(args):
 # parser
 
 
-def _add_graph_source(sub):
-    sub.add_argument("--input", help="edge-list file to load")
-    sub.add_argument("--gen", help="generator spec: er:N,PL | rgg:N,R | ba:N,M | lattice:D1xD2[xD3]")
-    sub.add_argument("--gen-seed", type=int, default=0, help="seed for --gen (default 0)")
-    sub.add_argument("--family", choices=sorted(FAMILIES), help="named graph family")
-    sub.add_argument("--n", type=int, help="size for --family (and the model size for approx er/rgg)")
-
-
-def _add_grid(sub):
-    sub.add_argument("--grid", type=_count("--grid", 2), default=101, help="equispaced grid size over [0,1] (default 101)")
-    sub.add_argument("--ps", type=_probability_list, help="explicit comma-separated grid, overrides --grid")
-
-
-def _add_cap(sub):
-    sub.add_argument(
-        "--cap",
-        type=_count("--cap", 1),
-        default=exact.DEFAULT_ENUMERATION_CAP,
-        help=f"largest N (L for link counts) the exact counts accept (default {exact.DEFAULT_ENUMERATION_CAP})",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relpoly",
@@ -404,103 +368,125 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("generate", help="write a generated graph as an edge list")
+    # option groups shared by several subcommands, each defined once and
+    # included with parents=[...]; argparse copies their actions, which is
+    # cheaper than adding the options to each subcommand again
+    graph_source = argparse.ArgumentParser(add_help=False)
+    graph_source.add_argument("--input", help="edge-list file to load")
+    graph_source.add_argument("--gen", help="generator spec: er:N,PL | rgg:N,R | ba:N,M | lattice:D1xD2[xD3]")
+    graph_source.add_argument("--gen-seed", type=int, default=0, help="seed for --gen (default 0)")
+    graph_source.add_argument("--family", choices=sorted(FAMILIES), help="named graph family")
+    graph_source.add_argument("--n", type=int, help="size for --family")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
+        "--grid", type=_count("--grid", 2), default=101, help="equispaced grid size over [0,1] (default 101)"
+    )
+    grid.add_argument("--ps", type=_probability_list, help="explicit comma-separated grid, overrides --grid")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
+        "--cap",
+        type=_count("--cap", 1),
+        default=exact.DEFAULT_ENUMERATION_CAP,
+        help=f"largest N (L for link counts) the exact counts accept (default {exact.DEFAULT_ENUMERATION_CAP})",
+    )
+    monte_carlo = argparse.ArgumentParser(add_help=False)
+    monte_carlo.add_argument("--runs", type=_count("--runs", 1), default=100000)
+    monte_carlo.add_argument("--seed", type=int, default=0)
+    monte_carlo.add_argument(
+        "--workers", type=_count("--workers", 1), help="worker processes (RELPOLY_THREADS caps this)"
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    er_model = argparse.ArgumentParser(add_help=False)
+    er_model.add_argument("--n", type=int, required=True, help="model size N")
+    er_model.add_argument("--pl", type=float, required=True, help="link probability")
+
+    s = subs.add_parser("generate", help="write a generated graph as an edge list", parents=[out])
     s.add_argument("--gen", required=True)
     s.add_argument("--gen-seed", type=int, default=0)
-    s.add_argument("--out")
     s.set_defaults(fn=_cmd_generate)
 
-    s = subs.add_parser("exact", help="exact coefficients by frontier DP, and their curve")
-    _add_graph_source(s)
-    _add_grid(s)
+    s = subs.add_parser(
+        "exact", help="exact coefficients by frontier DP, and their curve", parents=[graph_source, grid, cap, out]
+    )
     s.add_argument("--kind", choices=("node", "link"), default="node")
-    _add_cap(s)
     s.add_argument("--coeffs-out", help="also write the coefficient vectors as JSON")
-    s.add_argument("--out")
     s.set_defaults(fn=_cmd_exact)
 
-    s = subs.add_parser("closed-form", help="evaluate a family's closed-form curve")
+    s = subs.add_parser("closed-form", help="evaluate a family's closed-form curve", parents=[grid, out])
     s.add_argument("--family", choices=sorted(FAMILIES), required=True)
     s.add_argument("--n", type=int, required=True)
-    _add_grid(s)
-    s.add_argument("--out")
     s.set_defaults(fn=_cmd_closed_form)
 
-    s = subs.add_parser("mc", help="Monte Carlo curve from random removal orders")
-    _add_graph_source(s)
-    _add_grid(s)
+    s = subs.add_parser(
+        "mc", help="Monte Carlo curve from random removal orders", parents=[graph_source, grid, monte_carlo, out]
+    )
     s.add_argument("--kind", choices=("node", "link"), default="node")
-    s.add_argument("--runs", type=_count("--runs", 1), default=100000)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=_count("--workers", 1), help="worker processes (RELPOLY_THREADS caps this)")
-    s.add_argument("--out")
     s.set_defaults(fn=_cmd_mc)
 
-    s = subs.add_parser("laplace", help="concentration-point curve from exact or MC fractions")
-    _add_graph_source(s)
-    _add_grid(s)
+    s = subs.add_parser(
+        "laplace",
+        help="concentration-point curve from exact or MC fractions",
+        parents=[graph_source, grid, cap, monte_carlo, out],
+    )
     s.add_argument("--source", choices=("exact", "mc"), default="exact")
     s.add_argument("--basis", choices=("s", "c"), default="c")
-    s.add_argument("--runs", type=_count("--runs", 1), default=100000)
-    s.add_argument("--seed", type=int, default=0)
-    _add_cap(s)
-    s.add_argument("--workers", type=_count("--workers", 1))
-    s.add_argument("--out")
     s.set_defaults(fn=_cmd_laplace)
 
+    # each approx method takes only the options it reads; _cmd_approx stays
+    # the fn of every method (perfbench's cli.approx span patches it) and
+    # calls the method's handler
     s = subs.add_parser("approx", help="degree-based approximations and ensemble formulas")
-    s.add_argument(
-        "method",
-        choices=tuple(_APPROX_METHODS),
+    methods = s.add_subparsers(dest="method", required=True)
+    m = methods.add_parser("stochastic", help="no-isolated-node surrogate", parents=[graph_source, grid, out])
+    m.add_argument("--kind", choices=("node", "link"), default="node")
+    m.set_defaults(fn=_cmd_approx, handler=_approx_stochastic)
+    m = methods.add_parser(
+        "bounds", help="isolation approximation (not an upper bound in general)", parents=[graph_source, grid, out]
     )
-    _add_graph_source(s)
-    _add_grid(s)
-    s.add_argument("--kind", choices=("node", "link"), default="node")
-    s.add_argument(
-        "--bound",
-        choices=("arith", "geom"),
-        default="arith",
-        help="isolation approximation for the bounds method (not an upper bound in general)",
-    )
-    s.add_argument("--pl", type=float, help="link probability for er methods")
-    s.add_argument("--r", type=float, help="radius for rgg")
-    s.add_argument("--n2", type=int, help="second model size for er-intersection")
-    s.add_argument("--pl2", type=float, help="second link probability for er-intersection")
-    s.add_argument("--lo", type=float, default=0.01, help="low level for er-width")
-    s.add_argument("--hi", type=float, default=0.99, help="high level for er-width")
-    s.add_argument("--out")
-    s.set_defaults(fn=_cmd_approx)
+    m.add_argument("--bound", choices=("arith", "geom"), default="arith")
+    m.set_defaults(fn=_cmd_approx, handler=_approx_bounds)
+    m = methods.add_parser("er", help="Erdos-Renyi ensemble curve", parents=[er_model, grid, out])
+    m.set_defaults(fn=_cmd_approx, handler=_approx_er)
+    m = methods.add_parser("rgg", help="random geometric graph ensemble curve", parents=[grid, out])
+    m.add_argument("--n", type=int, required=True, help="model size N")
+    m.add_argument("--r", type=float, required=True, help="radius")
+    m.set_defaults(fn=_cmd_approx, handler=_approx_rgg)
+    m = methods.add_parser("er-intersection", help="crossing of two Erdos-Renyi curves", parents=[er_model, out])
+    m.add_argument("--n2", type=int, required=True, help="second model size")
+    m.add_argument("--pl2", type=float, required=True, help="second link probability")
+    m.set_defaults(fn=_cmd_approx, handler=_approx_er_intersection)
+    m = methods.add_parser("er-width", help="transition width of an Erdos-Renyi curve", parents=[er_model, out])
+    m.add_argument("--lo", type=float, default=0.01, help="low level (default 0.01)")
+    m.add_argument("--hi", type=float, default=0.99, help="high level (default 0.99)")
+    m.set_defaults(fn=_cmd_approx, handler=_approx_er_width)
 
-    s = subs.add_parser("cutsets", help="recover cut-set counts from a curve source")
-    _add_graph_source(s)
+    s = subs.add_parser(
+        "cutsets", help="recover cut-set counts from a curve source", parents=[graph_source, cap, monte_carlo, out]
+    )
     s.add_argument("--kind", choices=("node", "link"), default="node")
     s.add_argument("--source", choices=("exact", "mc"), default="exact")
-    s.add_argument("--runs", type=_count("--runs", 1), default=100000)
-    s.add_argument("--seed", type=int, default=0)
-    _add_cap(s)
     s.add_argument("--probes", type=_probe_list, help="comma-separated probe list (fractions like 1/7 allowed)")
     s.add_argument("--no-round", action="store_true", help="report raw solved values")
-    s.add_argument("--workers", type=_count("--workers", 1))
-    s.add_argument("--out")
     s.set_defaults(fn=_cmd_cutsets)
 
-    s = subs.add_parser("kgrip", help="add k links by a named strategy and report the objective")
-    _add_graph_source(s)
+    s = subs.add_parser(
+        "kgrip", help="add k links by a named strategy and report the objective", parents=[graph_source, out]
+    )
     s.add_argument("--k", type=_count("--k", 1), required=True)
     s.add_argument("--strategy", choices=("lowest", "highest", "random"), default="lowest")
     s.add_argument("--seed", type=int, default=0, help="seed for --strategy random")
     s.add_argument("--p", type=float, default=0.5)
     s.add_argument("--graph-out", help="write the augmented graph as an edge list")
-    s.add_argument("--out")
     s.set_defaults(fn=_cmd_kgrip)
 
-    s = subs.add_parser("compare", help="pairwise gaps between curve CSV files")
+    s = subs.add_parser("compare", help="pairwise gaps between curve CSV files", parents=[out])
     s.add_argument("files", nargs="+")
     s.add_argument(
         "--power",
+        type=_power,
         help='apply x -> x^POWER to every curve after the first; the literal "p" uses the grid coordinate',
     )
-    s.add_argument("--out")
     s.set_defaults(fn=_cmd_compare)
 
     return parser

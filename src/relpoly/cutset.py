@@ -143,6 +143,13 @@ def _solve(system: ProbeSystem) -> list:
     return [Fraction(sum(s * form[j] for s, form in zip(scaled, forms)), den) for j in range(n + 1)]
 
 
+def check_dimension(n: int):
+    """Refuse a recovery of more than DEFAULT_DIMENSION_CAP unknowns, before
+    a caller spends anything on its curve source."""
+    if n > DEFAULT_DIMENSION_CAP:
+        raise CapacityError(f"cut-set recovery: n={n} exceeds the cap of {DEFAULT_DIMENSION_CAP}")
+
+
 def recover_cut_counts(system: ProbeSystem, rounding: bool = True) -> CutCountRecovery:
     """Solve the probe system for the cut-set count vector.
 
@@ -153,8 +160,7 @@ def recover_cut_counts(system: ProbeSystem, rounding: bool = True) -> CutCountRe
     counts outside [0, C(n,j)], in `flags`.
     """
     n = system.dimension
-    if n > DEFAULT_DIMENSION_CAP:
-        raise CapacityError(f"cut-set recovery: n={n} exceeds the cap of {DEFAULT_DIMENSION_CAP}")
+    check_dimension(n)
     raw = tuple(float(x) for x in _solve(system))
 
     flags = []

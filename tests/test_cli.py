@@ -1,11 +1,12 @@
+import argparse
 import json
 import math
 import tracemalloc
 
 import pytest
 
-from relpoly import Curve, load_edge_list
-from relpoly.cli import main
+from relpoly import Curve, exact, load_edge_list, montecarlo
+from relpoly.cli import build_parser, main
 
 
 def run_cli(args):
@@ -141,6 +142,20 @@ class TestCutsets:
         payload = json.loads(capsys.readouterr().out)
         assert payload["C"] == [0, 0, 0, 1]
 
+    @pytest.mark.parametrize("argv, spied, n", [
+        (["--gen", "er:200,0.05", "--source", "mc", "--runs", 20000, "--workers", 1],
+         (montecarlo, "estimate_node_cut_fractions"), 200),
+        (["--gen", "lattice:5x8", "--kind", "node", "--cap", 40], (exact, "enumerate_node_coefficients"), 40),
+    ], ids=["mc", "exact"])
+    def test_oversized_dimension_refused_before_the_curve_source(self, monkeypatch, capsys, argv, spied, n):
+        module, name = spied
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or original(*a, **k))
+        assert run_cli(["cutsets", *argv]) == 1
+        assert calls == []
+        assert capsys.readouterr().err == f"error: cut-set recovery: n={n} exceeds the cap of 30\n"
+
 
 class TestKgrip:
     def test_plan_and_objective(self, tmp_path, capsys):
@@ -232,6 +247,10 @@ class TestCompare:
         run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 21, "--out", a])
         run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 31, "--out", b])
         assert run_cli(["compare", a, b]) == 1
+
+    def test_bad_power_is_usage_error_before_files_are_read(self, capsys):
+        assert run_cli(["compare", "/nonexistent/a.csv", "/nonexistent/b.csv", "--power", "x"]) == 2
+        assert capsys.readouterr().err == 'usage error: --power takes a number or the letter "p"\n'
 
 
 class TestUsageErrors:
@@ -417,3 +436,46 @@ class TestWorkerSettings:
     def test_good_env_runs(self, monkeypatch, capsys):
         monkeypatch.setenv("RELPOLY_THREADS", "1")
         assert run_cli(MC_COMMANDS[0] + ["--workers", 2, "--grid", 3]) == 0
+
+
+GRAPH_SOURCE = {"--input", "--gen", "--gen-seed", "--family", "--n"}
+GRID = {"--grid", "--ps"}
+
+# method -> (every option it takes, the required ones)
+APPROX_OPTIONS = {
+    "stochastic": (GRAPH_SOURCE | GRID | {"--kind", "--out"}, set()),
+    "bounds": (GRAPH_SOURCE | GRID | {"--bound", "--out"}, set()),
+    "er": (GRID | {"--n", "--pl", "--out"}, {"--n", "--pl"}),
+    "rgg": (GRID | {"--n", "--r", "--out"}, {"--n", "--r"}),
+    "er-intersection": ({"--n", "--pl", "--n2", "--pl2", "--out"}, {"--n", "--pl", "--n2", "--pl2"}),
+    "er-width": ({"--n", "--pl", "--lo", "--hi", "--out"}, {"--n", "--pl"}),
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestApproxOptionSets:
+    """Each approx method takes only the options it reads."""
+
+    def test_methods(self):
+        assert set(_subparsers(_subparsers(build_parser())["approx"])) == set(APPROX_OPTIONS)
+
+    @pytest.mark.parametrize("method", APPROX_OPTIONS)
+    def test_option_set(self, method):
+        actions = [a for a in _subparsers(_subparsers(build_parser())["approx"])[method]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        options, required = APPROX_OPTIONS[method]
+        assert {s for a in actions for s in a.option_strings} == options
+        assert {s for a in actions if a.required for s in a.option_strings} == required
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "er", "--n", 100, "--pl", 0.05, "--kind", "link"],
+        ["approx", "bounds", "--family", "star", "--n", 3, "--kind", "link"],
+        ["approx", "er", "--family", "cycle", "--n", 5, "--pl", 0.5],
+        ["approx", "er-width", "--n", 1000, "--pl", 0.02, "--grid", 5],
+    ], ids=["er-kind", "bounds-kind", "er-family", "er-width-grid"])
+    def test_option_of_another_method_is_usage_error(self, capsys, argv):
+        assert run_cli(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
