@@ -32,6 +32,7 @@ from .cutset import (
     exact_link_curve_source,
     exact_node_curve_source,
     recover_cut_counts,
+    source_cut_counts,
 )
 from .errors import CapacityError, ConnectivityWarning, EdgeListFormatError
 from .exact import (

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
+import warnings
 
 from . import approx, cutset, exact, kgrip, montecarlo
 from .curve import Curve, probability_grid
@@ -98,14 +98,6 @@ def _probability_list(text: str) -> tuple:
     if not all(0 <= p <= 1 for p in pts):
         raise UsageError("--ps values must lie in [0, 1]")
     return pts
-
-
-def _probe_list(text: str) -> list:
-    """Type of --probes: comma-separated numbers, fractions such as 1/7 exact."""
-    try:
-        return [Fraction(tok) if "/" in tok else float(tok) for tok in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--probes takes comma-separated numbers or fractions, got {text!r}") from None
 
 
 def _power(text: str):
@@ -289,17 +281,10 @@ def _cmd_approx(args):
 
 
 def _cmd_cutsets(args):
-    graph, label = _load_graph(args)
-    dim = graph.num_nodes if args.kind == "node" else graph.num_links
-    cutset.check_dimension(dim)
-    if args.source == "exact":
-        by_kind = {"node": cutset.exact_node_curve_source, "link": cutset.exact_link_curve_source}
-        source = by_kind[args.kind](_coefficients(args, graph, args.kind))
-    else:
-        source = cutset.estimate_curve_source(_estimate(args, graph, args.kind))
-    system = cutset.build_probe_system(dim, source, args.probes)
-    result = cutset.recover_cut_counts(system, rounding=not args.no_round)
-    _write(args.out, result.to_json())
+    graph, _ = _load_graph(args)
+    cutset.check_dimension(graph.num_nodes if args.kind == "node" else graph.num_links)
+    source = (_coefficients if args.source == "exact" else _estimate)(args, graph, args.kind)
+    _write(args.out, cutset.source_cut_counts(source, rounding=not args.no_round).to_json())
     return 0
 
 
@@ -324,6 +309,8 @@ def _cmd_kgrip(args):
 
 
 def _cmd_compare(args):
+    if len(args.files) < 2:
+        raise UsageError("compare needs at least two curve files")
     curves = []
     for path in args.files:
         with open(path, "r", encoding="utf-8") as fh:
@@ -332,8 +319,6 @@ def _cmd_compare(args):
             curves.append((path, Curve.from_csv(text)))
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
-    if len(curves) < 2:
-        raise UsageError("compare needs at least two curve files")
     base_grid = curves[0][1].grid
     for path, c in curves[1:]:
         if c.grid != base_grid:
@@ -462,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=_cmd_approx, handler=_approx_er_width)
 
     s = subs.add_parser(
-        "cutsets", help="recover cut-set counts from a curve source", parents=[graph_source, cap, monte_carlo, out]
+        "cutsets", help="cut-set counts from exact counts or a Monte Carlo estimate",
+        parents=[graph_source, cap, monte_carlo, out],
     )
     s.add_argument("--kind", choices=("node", "link"), default="node")
     s.add_argument("--source", choices=("exact", "mc"), default="exact")
-    s.add_argument("--probes", type=_probe_list, help="comma-separated probe list (fractions like 1/7 allowed)")
-    s.add_argument("--no-round", action="store_true", help="report raw solved values")
+    s.add_argument("--no-round", action="store_true", help="report the counts unrounded")
     s.set_defaults(fn=_cmd_cutsets)
 
     s = subs.add_parser(
@@ -493,17 +478,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except SystemExit as exc:  # argparse has printed its own message
-        return exc.code if exc.code is not None else 2
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, CapacityError, EdgeListFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    # one plain line per warning (a ConnectivityWarning); library callers keep Python's format
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        except SystemExit as exc:  # argparse has printed its own message
+            return exc.code if exc.code is not None else 2
+        except UsageError as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            return 2
+        except (ValueError, CapacityError, EdgeListFormatError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

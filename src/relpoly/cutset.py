@@ -1,12 +1,12 @@
-"""Recover cut-set counts from any reliability-curve source.
-
-Sampling the C-form polynomial at n+1 interior probabilities gives a
-square linear system P C = 1 - curve, whose matrix rows are the Bernstein
-point weights (1-p_i)^j p_i^(n-j). Divided by p_i^n, row i becomes the
-Vandermonde row t_i^j in t_i = (1-p_i)/p_i, which conditions terribly as n
-grows; so the system is solved exactly, by Lagrange interpolation in
-integer arithmetic over one common denominator, with O(n^2) operations.
-Float probes and curve values enter as the binary rationals they are.
+"""Cut-set counts: `source_cut_counts` reads them off exact counts or a Monte
+Carlo estimate; `recover_cut_counts` recovers them from any other curve.
+Sampling the curve at n+1 interior probabilities gives a square system
+P C = 1 - curve whose rows are the Bernstein weights (1-p_i)^j p_i^(n-j);
+divided by p_i^n, row i is the Vandermonde row t_i^j in t_i = (1-p_i)/p_i,
+which conditions terribly as n grows. So the system is solved exactly, by
+Lagrange interpolation in integer arithmetic over one common denominator,
+with O(n^2) operations. Float probes and curve values enter as the binary
+rationals they are.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ def build_probe_system(n: int, curve_source, probes=None) -> ProbeSystem:
 
     With no explicit probes, the defaults are the rationals (i+1)/(n+2); a
     curve source that understands Fraction inputs then produces an exactly
-    solvable system.
+    solvable system. The dimension is checked when the system is solved.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
     if probes is None:
         probes = default_probes(n)
     else:
@@ -69,10 +67,8 @@ def build_probe_system(n: int, curve_source, probes=None) -> ProbeSystem:
 
 @dataclass(frozen=True)
 class CutCountRecovery:
-    """Solved coefficient vector with its rounding report.
-
-    `residual` is ||P C - rhs||_inf of the solution, 0.0 since the solve is exact.
-    """
+    """Cut-set count vector with its rounding report. A solved system sets
+    `probes` and `residual` (||P C - rhs||_inf, 0.0 as the solve is exact)."""
 
     counts: tuple
     raw: tuple
@@ -83,12 +79,10 @@ class CutCountRecovery:
     flags: tuple
 
     def to_json(self) -> str:
-        payload = {
-            "C": list(self.counts),
-            "residual": self.residual,
-            "rounded": self.rounded,
-            "probes": [float(p) for p in self.probes],
-        }
+        payload = {"C": list(self.counts), "rounded": self.rounded}
+        if self.probes is not None:
+            payload["residual"] = self.residual
+            payload["probes"] = [float(p) for p in self.probes]
         if self.rounded:
             payload["max_rounding_deviation"] = self.max_rounding_deviation
         if self.flags:
@@ -144,10 +138,27 @@ def _solve(system: ProbeSystem) -> list:
 
 
 def check_dimension(n: int):
-    """Refuse a recovery of more than DEFAULT_DIMENSION_CAP unknowns, before
-    a caller spends anything on its curve source."""
+    """Refuse a recovery of no unknowns or of more than DEFAULT_DIMENSION_CAP,
+    before a caller spends anything on its source."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
     if n > DEFAULT_DIMENSION_CAP:
         raise CapacityError(f"cut-set recovery: n={n} exceeds the cap of {DEFAULT_DIMENSION_CAP}")
+
+
+def _report(values, rounding: bool, probes=None, residual=None) -> CutCountRecovery:
+    """The report on the exact counts `values`: raw floats, or the nearest
+    integers with flags for any outside [0, C(n,j)] and a C_n other than 1."""
+    n = len(values) - 1
+    raw = tuple(float(x) for x in values)
+    if not rounding:
+        return CutCountRecovery(raw, raw, residual, False, 0.0, probes, ())
+    counts = tuple(round(x) for x in values)
+    deviation = max(abs(r - c) for r, c in zip(raw, counts))
+    flags = [f"C_{j}={c} outside [0, C({n},{j})]" for j, c in enumerate(counts) if not 0 <= c <= math.comb(n, j)]
+    if counts[n] != 1:
+        flags.append(f"C_{n}={counts[n]} but the empty residual forces 1")
+    return CutCountRecovery(counts, raw, residual, True, deviation, probes, tuple(flags))
 
 
 def recover_cut_counts(system: ProbeSystem, rounding: bool = True) -> CutCountRecovery:
@@ -159,23 +170,19 @@ def recover_cut_counts(system: ProbeSystem, rounding: bool = True) -> CutCountRe
     raw values away from integers: in `max_rounding_deviation` and, for
     counts outside [0, C(n,j)], in `flags`.
     """
-    n = system.dimension
-    check_dimension(n)
-    raw = tuple(float(x) for x in _solve(system))
+    check_dimension(system.dimension)
+    return _report(_solve(system), rounding, system.probes, 0.0)
 
-    flags = []
-    if rounding:
-        counts = tuple(round(x) for x in raw)
-        deviation = max(abs(r - c) for r, c in zip(raw, counts))
-        for j, c in enumerate(counts):
-            if not 0 <= c <= math.comb(n, j):
-                flags.append(f"C_{j}={c} outside [0, C({n},{j})]")
-        if counts[n] != 1:
-            flags.append(f"C_{n}={counts[n]} but the empty residual forces 1")
+
+def source_cut_counts(source, rounding: bool = True) -> CutCountRecovery:
+    """The counts a source holds, solving nothing: `cut_counts` of exact
+    ReliabilityCoefficients, or C(n,j) R_j / runs of a CutFractionEstimate."""
+    if isinstance(source, ReliabilityCoefficients):
+        values = source.cut_counts
     else:
-        counts = raw
-        deviation = 0.0
-    return CutCountRecovery(counts, raw, 0.0, rounding, deviation, system.probes, tuple(flags))
+        values = [Fraction(math.comb(source.dimension, j) * r, source.runs) for j, r in enumerate(source.counts)]
+    check_dimension(len(values) - 1)
+    return _report(values, rounding)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,14 @@ def _fractions(counts) -> tuple:
     return tuple(c / math.comb(n, j) for j, c in enumerate(counts))
 
 
+def _complements(counts, what: str) -> tuple:
+    """C(n,j) - counts[j] for j = 0..n, with n = len(counts) - 1."""
+    out = tuple(math.comb(len(counts) - 1, j) - x for j, x in enumerate(counts))
+    if min(out) < 0:
+        raise ValueError(f"inconsistent {what} counts")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # coefficient container
 
@@ -86,7 +94,7 @@ class ReliabilityCoefficients:
     """Exact integer coefficient vectors plus their normalized fractions.
 
     kind "node": connected_counts = S_0..S_N and cut_counts = C_0..C_N.
-    kind "link": kept_counts = F_0..F_L (num_links = L).
+    kind "link": kept_counts = F_0..F_L (num_links = L) and cut_counts = C(L,j) - F_j.
     """
 
     kind: str
@@ -101,17 +109,14 @@ class ReliabilityCoefficients:
         s = tuple(int(x) for x in connected_counts)
         if len(s) != num_nodes + 1:
             raise ValueError("need S_0..S_N")
-        c = tuple(math.comb(num_nodes, j) - s[num_nodes - j] for j in range(num_nodes + 1))
-        if any(x < 0 for x in c):
-            raise ValueError("inconsistent connected-subgraph counts")
-        return ReliabilityCoefficients("node", num_nodes, s, c)
+        return ReliabilityCoefficients("node", num_nodes, s, _complements(s[::-1], "connected-subgraph"))
 
     @staticmethod
     def link(num_nodes: int, num_links: int, kept_counts) -> "ReliabilityCoefficients":
         f = tuple(int(x) for x in kept_counts)
         if len(f) != num_links + 1:
             raise ValueError("need F_0..F_L")
-        return ReliabilityCoefficients("link", num_nodes, kept_counts=f, num_links=num_links)
+        return ReliabilityCoefficients("link", num_nodes, None, _complements(f, "kept-link"), f, num_links)
 
     @property
     def connected_fractions(self) -> tuple:
@@ -120,7 +125,7 @@ class ReliabilityCoefficients:
 
     @property
     def cut_fractions(self) -> tuple:
-        """c_j = C_j / C(N,j), the chance a uniform j-removal disconnects."""
+        """c_j = C_j / C(n,j), the chance a uniform j-removal disconnects (n = N or L)."""
         return _fractions(self.cut_counts)
 
     def to_json(self) -> str:

@@ -373,16 +373,14 @@ def _run_ends(kind: str, graph: Graph):
     return graph.link_ends if numpy_start else None
 
 
-def _check_order(order, size: int, what: str) -> list:
-    """`order` as a list of ints, if it is a permutation of 0..size-1."""
+def _check_order(order, size: int, what: str):
+    """`order` as an int64 array, if it is a permutation of 0..size-1."""
     message = f"removal order must be a permutation of all {what} ids"
     try:
-        order = [operator.index(x) for x in order]
-    except TypeError:
+        order = np.fromiter(map(operator.index, order), np.int64)
+    except (TypeError, OverflowError):  # not an integer, or beyond int64
         raise ValueError(message) from None
-    # O(size), unlike sorting: with as many ids as elements, equal sets leave
-    # no room for a duplicate or an out-of-range id
-    if len(order) != size or set(order) != set(range(size)):
+    if len(order) != size or not np.array_equal(np.sort(order), np.arange(size)):
         raise ValueError(message)
     return order
 
@@ -409,7 +407,7 @@ def node_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..N under one explicit removal order."""
     order = _check_order(removal_order, graph.num_nodes, "node")
     ends = _run_ends("node", graph)
-    return [bool(x) for x in _node_counts(graph, ends, [order if ends is None else np.array(order)])]
+    return [bool(x) for x in _node_counts(graph, ends, [order.tolist() if ends is None else order])]
 
 
 def link_removal_profile(graph: Graph, removal_order) -> list:
@@ -417,7 +415,7 @@ def link_removal_profile(graph: Graph, removal_order) -> list:
     l = graph.num_links
     order = _check_order(removal_order, l, "link")
     ends = _run_ends("link", graph)
-    last = _link_threshold(graph.links, ends, graph.num_nodes, order if ends is None else np.array(order))
+    last = _link_threshold(graph.links, ends, graph.num_nodes, order.tolist() if ends is None else order)
     return [False] * (last + 1) + [True] * (l - last)
 
 

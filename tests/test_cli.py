@@ -2,10 +2,12 @@ import argparse
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from relpoly import Curve, exact, load_edge_list, montecarlo
+from oracle import brute_cut_counts, brute_link_kept_counts
+from relpoly import Curve, cutset, exact, generate_lattice, load_edge_list, montecarlo, save_edge_list
 from relpoly.cli import build_parser, main
 
 
@@ -102,6 +104,15 @@ class TestApprox:
         run_cli(["approx", "er", "--n", n, "--pl", math.log(n) / n, "--grid", 11, "--out", out])
         assert read_curve(out).value_at(1.0) == pytest.approx(math.exp(-1), abs=1e-9)
 
+    def test_connectivity_warning_is_one_plain_line(self, tmp_path, capsys):
+        graph = tmp_path / "g.edges"
+        assert run_cli(["generate", "--gen", "er:200,0.02", "--gen-seed", 1, "--out", graph]) == 0
+        assert run_cli(["approx", "stochastic", "--input", graph, "--out", tmp_path / "s.csv"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: stochastic node reliability applied to a disconnected graph; the "
+            "no-isolated-node surrogate for connectivity is unreliable there\n"
+        )
+
     def test_rgg_skips_sub_survivor_grid_points(self, tmp_path, capsys):
         out = tmp_path / "rgg.csv"
         assert run_cli(["approx", "rgg", "--n", 100, "--r", 0.2, "--grid", 101, "--out", out]) == 0
@@ -128,7 +139,8 @@ class TestCutsets:
         assert run_cli(["cutsets", "--family", "path", "--n", 3]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["C"] == [0, 1, 0, 1]
-        assert payload["residual"] == 0.0
+        # nothing was solved, so there are no probes and no residual
+        assert set(payload) == {"C", "rounded", "max_rounding_deviation"}
 
     def test_mc_source(self, capsys):
         assert run_cli(["cutsets", "--family", "path", "--n", 4, "--source", "mc",
@@ -136,11 +148,47 @@ class TestCutsets:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["C"]) == 5
 
-    def test_explicit_probes(self, capsys):
-        assert run_cli(["cutsets", "--family", "complete", "--n", 3,
-                        "--probes", "1/5,2/5,3/5,4/5"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["C"] == [0, 0, 0, 1]
+    def test_mc_counts_are_the_estimate(self, capsys):
+        # C(30,j) R_j / runs itself; solving back from its curve was off by
+        # one count from j = 7 on
+        assert run_cli(["cutsets", "--gen", "lattice:5x6", "--source", "mc", "--runs", 2000,
+                        "--workers", 1]) == 0
+        est = montecarlo.estimate_node_cut_fractions(generate_lattice((5, 6)), 2000, 0, 1)
+        expected = [round(Fraction(math.comb(30, j) * r, 2000)) for j, r in enumerate(est.counts)]
+        assert json.loads(capsys.readouterr().out)["C"] == expected
+
+    @pytest.mark.parametrize("kind", ["node", "link"])
+    def test_exact_counts_match_brute_force(self, tmp_path, capsys, corpus, kind):
+        path = tmp_path / "g.edges"
+        for label, g in corpus:
+            if (g.num_nodes if kind == "node" else g.num_links) > 12:
+                continue
+            path.write_text(save_edge_list(g))
+            assert run_cli(["cutsets", "--input", path, "--kind", kind]) == 0
+            if kind == "node":
+                expected = brute_cut_counts(g)
+            else:
+                expected = [math.comb(g.num_links, j) - f for j, f in enumerate(brute_link_kept_counts(g))]
+            assert json.loads(capsys.readouterr().out)["C"] == expected, label
+
+    @pytest.mark.parametrize("source", ["exact", "mc"])
+    @pytest.mark.parametrize("kind", ["node", "link"])
+    def test_default_path_solves_nothing(self, monkeypatch, capsys, source, kind):
+        calls = []
+        for name in ("build_probe_system", "recover_cut_counts"):
+            original = getattr(cutset, name)
+            monkeypatch.setattr(cutset, name, lambda *a, _f=original, **k: calls.append(a) or _f(*a, **k))
+        assert run_cli(["cutsets", "--family", "cycle", "--n", 5, "--kind", kind, "--source", source,
+                        "--runs", 200, "--workers", 1]) == 0
+        assert calls == []
+
+    def test_no_unknowns_is_refused(self, capsys):
+        assert run_cli(["cutsets", "--family", "path", "--n", 1, "--kind", "link"]) == 1
+        assert capsys.readouterr().err == "error: dimension must be positive\n"
+
+    def test_probes_option_is_gone(self, capsys):
+        assert run_cli(["cutsets", "--family", "complete", "--n", 3, "--probes", "1/5,2/5,3/5,4/5"]) == 2
+        assert "unrecognized arguments: --probes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, spied, n", [
         (["--gen", "er:200,0.05", "--source", "mc", "--runs", 20000, "--workers", 1],
@@ -248,6 +296,10 @@ class TestCompare:
         run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 31, "--out", b])
         assert run_cli(["compare", a, b]) == 1
 
+    def test_one_file_is_usage_error_before_it_is_read(self, capsys):
+        assert run_cli(["compare", "/nonexistent/a.csv"]) == 2
+        assert capsys.readouterr().err == "usage error: compare needs at least two curve files\n"
+
     def test_bad_power_is_usage_error_before_files_are_read(self, capsys):
         assert run_cli(["compare", "/nonexistent/a.csv", "/nonexistent/b.csv", "--power", "x"]) == 2
         assert capsys.readouterr().err == 'usage error: --power takes a number or the letter "p"\n'
@@ -319,9 +371,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["exact", "--family", "path", "--n", 3, "--ps", "0.1,abc"],
-        ["cutsets", "--family", "path", "--n", 3, "--probes", "1/0,0.2,0.5,0.7"],
-        ["cutsets", "--family", "path", "--n", 3, "--probes", "0.1,x,0.5,0.7"],
-    ], ids=["ps-not-a-number", "probes-zero-denominator", "probes-not-a-number"])
+    ], ids=["ps-not-a-number"])
     def test_malformed_number_is_usage_error(self, capsys, argv):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err

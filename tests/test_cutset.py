@@ -27,6 +27,7 @@ from relpoly import (
     node_reliability_s_form,
     path_graph,
     recover_cut_counts,
+    source_cut_counts,
     star_graph,
 )
 from relpoly.cutset import _solve
@@ -86,6 +87,11 @@ class TestExactRecovery:
         rec = recover_cut_counts(exact_system(cycle_graph(4)))
         assert rec.counts == (0, 0, 2, 0, 1)
 
+    def test_explicit_probes(self):
+        probes = [Fraction(i, 5) for i in range(1, 5)]
+        source = exact_node_curve_source(enumerate_node_coefficients(complete_graph(3)))
+        assert recover_cut_counts(build_probe_system(3, source, probes)).counts == (0, 0, 0, 1)
+
     def test_round_trip_matches_brute_force(self, corpus):
         for label, g in corpus:
             if g.num_nodes > 9:
@@ -132,6 +138,36 @@ class TestLinkVariant:
         rec = recover_cut_counts(system)
         expected = [math.comb(l, j) - f for j, f in enumerate(coeffs.kept_counts)]
         assert list(rec.counts) == expected
+
+
+class TestSourceCounts:
+    @pytest.mark.parametrize("enumerate_", [enumerate_node_coefficients, enumerate_link_coefficients])
+    def test_exact_counts_agree_with_the_solve(self, corpus_n10, enumerate_):
+        for label, g in corpus_n10:
+            coeffs = enumerate_(g)
+            rec = source_cut_counts(coeffs)
+            n = len(coeffs.cut_counts) - 1
+            curve = {"node": exact_node_curve_source, "link": exact_link_curve_source}[coeffs.kind](coeffs)
+            solved = recover_cut_counts(build_probe_system(n, curve))
+            assert rec.counts == coeffs.cut_counts == solved.counts, label
+            assert rec.max_rounding_deviation == 0.0 and not rec.flags, label
+
+    def test_estimate_counts_are_exact_fractions(self):
+        est = estimate_link_cut_fractions(cycle_graph(7), 300, seed=5)
+        values = [Fraction(math.comb(7, j) * r, 300) for j, r in enumerate(est.counts)]
+        rec = source_cut_counts(est)
+        assert rec.counts == tuple(round(v) for v in values)
+        assert rec.raw == tuple(float(v) for v in values)
+        assert rec.max_rounding_deviation == max(abs(float(v) - round(v)) for v in values)
+        assert source_cut_counts(est, rounding=False).counts == rec.raw
+
+    def test_json_has_no_probes_or_residual(self):
+        payload = json.loads(source_cut_counts(enumerate_node_coefficients(path_graph(3))).to_json())
+        assert payload == {"C": [0, 1, 0, 1], "rounded": True, "max_rounding_deviation": 0.0}
+
+    def test_capacity_cap(self):
+        with pytest.raises(CapacityError):
+            source_cut_counts(estimate_node_cut_fractions(path_graph(31), 10, seed=1))
 
 
 class TestGuards:

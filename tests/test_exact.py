@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -406,6 +407,12 @@ class TestSerialization:
         c = enumerate_link_coefficients(cycle_graph(5))
         again = ReliabilityCoefficients.from_json(c.to_json())
         assert again == c
+
+    def test_link_cut_counts_survive_json(self):
+        c = enumerate_link_coefficients(cycle_graph(5))
+        assert "C" not in json.loads(c.to_json())
+        again = ReliabilityCoefficients.from_json(c.to_json())
+        assert again.cut_counts == c.cut_counts == (0, 0, 10, 10, 5, 1)
 
     def test_decimal_strings_preserve_big_integers(self):
         c = family_node_coefficients("complete", 80)

@@ -18,8 +18,6 @@ import pytest
 
 from relpoly.cli import main
 
-SMALL_PROBES = "0.1,0.3,0.5,0.7,0.9"
-
 # (case id, argv); the cases run in this order
 CASES = (
     ("generate-er", ["generate", "--gen", "er:40,0.15", "--gen-seed", "3", "--out", "er40.edges"]),
@@ -90,9 +88,6 @@ CASES = (
                          "--seed", "3", "--workers", "1"]),
     ("cutsets-mc-link", ["cutsets", "--family", "star", "--n", "5", "--kind", "link", "--source", "mc",
                          "--runs", "500", "--seed", "4", "--workers", "2", "--no-round"]),
-    ("cutsets-float-probes", ["cutsets", "--family", "path", "--n", "4", "--probes", SMALL_PROBES]),
-    ("cutsets-rational-probes", ["cutsets", "--family", "complete", "--n", "3",
-                                 "--probes", "1/5,2/5,3/5,4/5"]),
     *(
         (f"kgrip-{strategy}", ["kgrip", "--input", "er40.edges", "--k", "6", "--strategy", strategy,
                                "--seed", "9", "--p", "0.4", "--graph-out", f"kgrip-{strategy}.edges",
@@ -241,15 +236,15 @@ EXPECTED = {
     }),
     'approx-er-intersection-none': (0, '3089de64cb64161c89ebfff67f40a3b47953e447f1e6a4eb20445c4735814c20', {}),
     'approx-er-width': (0, '25c3bb4b2a6ba8ba684fc2debc24fc96cb190ad27505239ba93eafc96559fa2e', {}),
-    'cutsets-exact-node': (0, 'e8cc744363c736b8408de0a45a7b3dbeeefc66db7c5dc8a8efe5ea6b5330fd65', {}),
+    # cutsets reads its counts from the source: no probes or residual keys, and
+    # Monte Carlo counts are C(n,j) R_j / runs without the solve's float noise
+    'cutsets-exact-node': (0, '4206c035e1420d506f96db5dd25924ff2e711a8a694b16369077ba2fd5909678', {}),
     'cutsets-exact-link': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
-        'cut-link.json': '61e7beb96709658a8f023ba157f2a557cb422a645075818bfdea2343591744c1',
+        'cut-link.json': 'ff2eb352c5e73d7002d95998d669a45deac625879abec1404a4c65d6c2355935',
     }),
-    'cutsets-exact-link-ba': (0, '66de02463b4f581032b311da06d14cac72df2f779f6e941c97c6bc67cbc2ef3c', {}),
-    'cutsets-mc-node': (0, '2464580ee2ef004b525cbe6f19243a8a6b4a4e138a439cb54adc5aaba64fc61c', {}),
-    'cutsets-mc-link': (0, '0b6f30c42da98f6320eff36349add901fb484247e84252ba90c16dcbefd1e55a', {}),
-    'cutsets-float-probes': (0, 'ac5e423d0a4977568f5236747d69cebc273ceabe6474a5e043f044b425f1a846', {}),
-    'cutsets-rational-probes': (0, '5b0dc4ef88b75454ff2f9f00faac6fe57fa7030bd22c9aa8148bc3375100843a', {}),
+    'cutsets-exact-link-ba': (0, '0d64a50072cdbd26c7e267151d4721ad5692235ce6394d6080e4b781dbdf54d2', {}),
+    'cutsets-mc-node': (0, '867f0dfcdfa24e696e8c95cd52eb6ae78d02028149fb626a407cf9db8f61a3ed', {}),
+    'cutsets-mc-link': (0, '44de49b4036d153e17e6a0fdfaf32f8aec1cfa406200bf68da2329ca711848cf', {}),
     'kgrip-lowest': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
         'kgrip-lowest.edges': '7cf791fa0b3c0fb95d599cda9aff17eba1501a861b46ae0195a7864d26f14c00',
         'kgrip-lowest.json': '27dd9e1221786955a88447559cbc4038c7eb4909dbb9c416e2091ac10e42f7fb',

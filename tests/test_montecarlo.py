@@ -127,6 +127,25 @@ class TestProfiles:
                     profile(cycle_graph(3), order)
             assert profile(cycle_graph(3), np.array([2, 0, 1])) == profile(cycle_graph(3), [2, 0, 1])
 
+    @pytest.mark.parametrize("order, accepted", [
+        ([np.int64(2), np.int32(0), 1], True),
+        ([True, 0, 2], True),  # bool is an int subclass
+        ([0, 1, 3], False),
+        ([0, 2, 2], False),
+        ([0, 1.0, 2], False),
+        ([0, np.float64(1), 2], False),
+        ([0, 1, 2**63], False),  # beyond int64: ValueError, not OverflowError
+        ([0, 1, -(2**64)], False),
+    ], ids=["numpy-ints", "bool", "out-of-range", "duplicate", "float", "numpy-float", "beyond-int64",
+            "below-int64"])
+    @pytest.mark.parametrize("profile", [node_removal_profile, link_removal_profile])
+    def test_order_elements(self, profile, order, accepted):
+        if accepted:
+            assert profile(cycle_graph(3), order) == profile(cycle_graph(3), [int(x) for x in order])
+        else:
+            with pytest.raises(ValueError, match="permutation"):
+                profile(cycle_graph(3), order)
+
 
 def _oracle_node_flags(graph, order):
     out = [0] * (graph.num_nodes + 1)
