@@ -492,6 +492,9 @@ def main(argv=None) -> int:
         except (ValueError, CapacityError, EdgeListFormatError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
+        except MemoryError:  # the input fits the node limit but not this machine
+            print("error: out of memory; the input is too large for the memory available", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

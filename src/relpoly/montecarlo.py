@@ -31,6 +31,9 @@ setup costs more than the Python steps it saves.
 
 Runs are seeded individually by mixing the root seed with the run index,
 so results do not depend on how runs are split across worker processes.
+Removal orders of fewer than _SMALL_PERMUTATION elements are drawn
+_DRAW_BLOCK runs at a time in numpy from those same per-run streams, so
+the orders do not depend on where a block or a worker's share begins.
 """
 
 from __future__ import annotations
@@ -49,8 +52,13 @@ from .curve import Curve, _check_probability
 from .exact import ReliabilityCoefficients, bernstein_mixture, _clamp01
 from .graph import _MASK64, Graph
 
-# below this size, an inline shuffle beats the per-run numpy generator setup
+# below this size, removal orders come from a SplitMix64 Fisher-Yates shuffle,
+# _DRAW_BLOCK runs at a time in numpy (see _small_orders); from it up, from a
+# numpy generator seeded per run, whose setup a small order cannot repay; a
+# block's memory is O(_DRAW_BLOCK * n) whatever the run count
 _SMALL_PERMUTATION = 32
+_DRAW_BLOCK = 4096
+_GAMMA = 0x9E3779B97F4A7C15
 # link sweeps from this many links up start at the isolation bound (see
 # _link_threshold); below it the numpy setup costs more than it saves
 _LABEL_MIN_LINKS = 256
@@ -61,12 +69,16 @@ _NODE_SHORTCUT_MIN_NODES = 500
 _NODE_SHORTCUT_MAX_MEAN_DEGREE = 16
 
 
-def mix_seed(seed: int, index: int) -> int:
-    """SplitMix64 step: the per-run seed for run `index` under a root seed."""
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+def _splitmix(z):
+    """SplitMix64's output function of a state: an int below 2^64 or a uint64 array."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def mix_seed(seed: int, index: int) -> int:
+    """SplitMix64 step: the per-run seed for run `index` under a root seed."""
+    return _splitmix((seed + (index + 1) * _GAMMA) & _MASK64)
 
 
 def resolve_workers(workers=None) -> int:
@@ -113,25 +125,47 @@ def _permutation_array(n: int, run_seed: int):
     return np.random.Generator(np.random.PCG64(run_seed)).permutation(n)
 
 
-def _permutation(n: int, run_seed: int) -> list:
-    if n >= _SMALL_PERMUTATION:
-        return _permutation_array(n, run_seed).tolist()
-    # Fisher-Yates driven by a SplitMix64 stream; index draws use the
-    # multiply-shift trick, whose bias of at most n/2^64 is irrelevant here.
-    # Draw k equals mix_seed(run_seed, k), but the step stays inline: calling
-    # mix_seed per draw cost +4 us per run at n = 18 and +6 us at n = 30
-    # (22-24 % slower, 2-vCPU Xeon, CPython 3.11).
-    perm = list(range(n))
-    state = run_seed
-    for i in range(n - 1, 0, -1):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        j = (z * (i + 1)) >> 64
-        perm[i], perm[j] = perm[j], perm[i]
+def _small_orders(n: int, seed: int, start: int, stop: int):
+    """Removal orders of runs start..stop-1 over n < _SMALL_PERMUTATION elements.
+
+    Row r - start is the Fisher-Yates shuffle of 0..n-1 whose draw k, which
+    picks the partner j of position i = n - 1 - k, is mix_seed(run_seed, k)
+    for run_seed = mix_seed(seed, r). j is the high 64 bits of draw * (i + 1),
+    the multiply-shift trick, whose bias of at most n/2^64 is irrelevant here.
+    numpy's uint64 arithmetic wraps mod 2^64 as the stream does, and every
+    draw of every run is taken at once; only the swaps go column by column.
+    """
+    run_seeds = _splitmix(np.arange(start + 1, stop + 1, dtype=np.uint64) * _GAMMA + (seed & _MASK64))
+    z = _splitmix(run_seeds[:, None] + np.arange(1, n, dtype=np.uint64) * _GAMMA)
+    bound = np.arange(n, 1, -1, dtype=np.uint64)
+    # the high half of z * bound from z's 32-bit halves: with bound <= 32 no
+    # product reaches 2^64
+    partner = (((z >> 32) * bound + (((z & 0xFFFFFFFF) * bound) >> 32)) >> 32).astype(np.intp)
+    perm = np.tile(np.arange(n), (stop - start, 1))
+    rows = np.arange(stop - start)
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = partner[:, k]
+        held = perm[:, i].copy()
+        perm[:, i] = perm[rows, j]
+        perm[rows, j] = held
     return perm
+
+
+def _orders(dim: int, seed: int, start: int, stop: int, arrays: bool):
+    """The removal orders of runs start..stop-1 over dim elements, lazily.
+
+    Below _SMALL_PERMUTATION elements they are drawn _DRAW_BLOCK runs at a
+    time and come as lists; no run of that size starts from a numpy step
+    (see _run_ends). From it up, each run draws its own, an array if
+    `arrays` is set and a list otherwise.
+    """
+    if dim < _SMALL_PERMUTATION:
+        for at in range(start, stop, _DRAW_BLOCK):
+            yield from _small_orders(dim, seed, at, min(at + _DRAW_BLOCK, stop)).tolist()
+        return
+    for r in range(start, stop):
+        perm = _permutation_array(dim, mix_seed(seed, r))
+        yield perm if arrays else perm.tolist()
 
 
 def _node_sweep(adj, perm, start: int, inserted, parent, size, ncomp: int, out, starts=None):
@@ -423,14 +457,14 @@ def _count_range(kind: str, graph: Graph, seed: int, start: int, stop: int) -> l
     """Disconnection counts of runs start..stop-1, from the arguments alone."""
     n, l = graph.num_nodes, graph.num_links
     ends = _run_ends(kind, graph)
-    draw = _permutation if ends is None else _permutation_array
+    orders = _orders(n if kind == "node" else l, seed, start, stop, ends is not None)
     if kind == "node":
-        return _node_counts(graph, ends, (draw(n, mix_seed(seed, r)) for r in range(start, stop)))
+        return _node_counts(graph, ends, orders)
     # runs[k] counts the runs whose threshold is k - 1; a run is disconnected
     # at every j above its threshold, so the counts are the prefix sums
     runs = [0] * (l + 2)
-    for r in range(start, stop):
-        runs[_link_threshold(graph.links, ends, n, draw(l, mix_seed(seed, r))) + 1] += 1
+    for perm in orders:
+        runs[_link_threshold(graph.links, ends, n, perm) + 1] += 1
     return list(itertools.accumulate(runs[: l + 1]))
 
 

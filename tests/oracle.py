@@ -13,8 +13,9 @@ frontier dynamic program replaced them, and the partition DP over links
 that counted link sets before the node DP on the subdivided graph took
 over, and the per-node sets that
 built every graph's adjacency before one numpy sort of all links replaced
-them. The last few helpers
-are read only by tests: the matrix of a cut-set probe system
+them, and the per-run SplitMix64 shuffle that drew each small Monte Carlo
+removal order before they were drawn a block of runs at a time. The last
+few helpers are read only by tests: the matrix of a cut-set probe system
 (`probe_matrix`), quotient forms of the cycle and path polynomials, an
 exact rational evaluation, a plan's degree changes and a one-call link
 curve estimate.
@@ -29,6 +30,7 @@ import numpy as np
 
 from relpoly import Graph, ReliabilityCoefficients, estimate_link_cut_fractions, link_reliability_curve
 from relpoly.graph import _seeded_generator
+from relpoly.montecarlo import _SMALL_PERMUTATION, mix_seed
 
 
 def naive_connected(graph, subset) -> bool:
@@ -257,6 +259,26 @@ def gauss_jordan_solve(rows, rhs):
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+def splitmix_shuffle(n: int, run_seed: int) -> list:
+    """Fisher-Yates over 0..n-1: draw k, mix_seed(run_seed, k), scaled to 0..i.
+
+    The scaling is multiply-shift: j = draw * (i + 1) >> 64 for i = n-1..1.
+    """
+    perm = list(range(n))
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = (mix_seed(run_seed, k) * (i + 1)) >> 64
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def run_order(n: int, seed: int, run: int) -> list:
+    """The removal order of Monte Carlo run `run` under a root seed, by itself."""
+    run_seed = mix_seed(seed, run)
+    if n < _SMALL_PERMUTATION:
+        return splitmix_shuffle(n, run_seed)
+    return np.random.Generator(np.random.PCG64(run_seed)).permutation(n).tolist()
 
 
 def node_disconnection_into(adj, n: int, perm, out):

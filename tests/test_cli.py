@@ -363,6 +363,16 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {label} has {count} nodes, above the limit of 10000000\n"
         assert peak < 1 << 20
 
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("relpoly.cli.generate_lattice", exhausted)
+        assert run_cli(["approx", "stochastic", "--gen", "lattice:10000x1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory; the input is too large for the memory available\n"
+
     def test_generate_above_node_limit(self, tmp_path, capsys):
         out = tmp_path / "g.edges"
         assert run_cli(["generate", "--gen", "er:10000001,0.1", "--out", out]) == 1

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 
@@ -30,13 +31,15 @@ from relpoly import (
     star_graph,
 )
 from relpoly import montecarlo
-from relpoly.montecarlo import _count_range, _permutation, mix_seed
+from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _orders, mix_seed
 from oracle import (
     estimate_link_reliability_curve,
     forward_deletion_profile,
     link_disconnection_into,
     naive_connected,
     node_disconnection_into,
+    run_order,
+    splitmix_shuffle,
 )
 
 GRID = tuple(i / 20 for i in range(21))
@@ -191,8 +194,8 @@ def _oracle_counts(g, seed, runs, node=True):
     link = [0] * (l + 1)
     for r in range(runs):
         if node:
-            node_disconnection_into(g.adjacency, n, _permutation(n, mix_seed(seed, r)), nodes)
-        link_disconnection_into(g.edges(), n, l, _permutation(l, mix_seed(seed, r)), link)
+            node_disconnection_into(g.adjacency, n, run_order(n, seed, r), nodes)
+        link_disconnection_into(g.edges(), n, l, run_order(l, seed, r), link)
     return nodes, link
 
 
@@ -342,7 +345,7 @@ def _shortcut_oracle_counts(label, g, runs):
     if label not in _SHORTCUT_ORACLE:
         out = [0] * (g.num_nodes + 1)
         for r in range(runs):
-            node_disconnection_into(g.adjacency, g.num_nodes, _permutation(g.num_nodes, mix_seed(97, r)), out)
+            node_disconnection_into(g.adjacency, g.num_nodes, run_order(g.num_nodes, 97, r), out)
         _SHORTCUT_ORACLE[label] = out
     return _SHORTCUT_ORACLE[label]
 
@@ -574,14 +577,46 @@ class TestSeedMixing:
         assert all(0 <= v < (1 << 64) for v in vals)
         assert len(set(vals)) == 100
 
-    def test_small_permutation_is_mix_seed_shuffle(self):
-        # the inline shuffle below 32 elements repeats mix_seed's stream:
-        # draw k of run seed s is mix_seed(s, k)
-        seeds = [0, 1, (1 << 64) - 1] + [mix_seed(2024, t) for t in range(200)]
-        for n in range(1, 32):
-            for s in seeds:
-                expected = list(range(n))
-                for k, i in enumerate(range(n - 1, 0, -1)):
-                    j = (mix_seed(s, k) * (i + 1)) >> 64
-                    expected[i], expected[j] = expected[j], expected[i]
-                assert _permutation(n, s) == expected, (n, s)
+    SEEDS = [0, 1, (1 << 64) - 1, -1, (1 << 70) + 3] + [mix_seed(2024, t) for t in range(200)]
+
+    def test_block_draw_is_per_run_shuffle(self):
+        # draw k of run r is mix_seed(mix_seed(seed, r), k), however runs are
+        # grouped: from the stream's start, and mid-stream across a block boundary
+        for start, stop in ((0, 3), (_DRAW_BLOCK - 2, _DRAW_BLOCK + 3)):
+            for n in range(1, 32):
+                for s in self.SEEDS:
+                    expected = [splitmix_shuffle(n, mix_seed(s, r)) for r in range(start, stop)]
+                    assert list(_orders(n, s, start, stop, False)) == expected, (n, s, start)
+
+
+@functools.cache
+def _boundary_oracle_counts(kind, runs):
+    """Oracle counts of the block-boundary runs: node counts on er:18,0.3, link counts on ba:12,3 (L = 27)."""
+    if kind == "node":
+        g = generate_er(18, 0.3, 1)
+        out = [0] * (g.num_nodes + 1)
+        for r in range(runs):
+            node_disconnection_into(g.adjacency, g.num_nodes, run_order(g.num_nodes, 5, r), out)
+    else:
+        g = generate_ba(12, 3, 1)
+        out = [0] * (g.num_links + 1)
+        for r in range(runs):
+            link_disconnection_into(g.edges(), g.num_nodes, g.num_links, run_order(g.num_links, 6, r), out)
+    return g, tuple(out)
+
+
+class TestBlockBoundaryParity:
+    """2 * _DRAW_BLOCK + 3 runs cross two block boundaries, and two workers
+    split them elsewhere; the counts must not move."""
+
+    RUNS = 2 * _DRAW_BLOCK + 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_node_counts(self, workers):
+        g, expected = _boundary_oracle_counts("node", self.RUNS)
+        assert estimate_node_cut_fractions(g, self.RUNS, 5, workers).counts == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_link_counts(self, workers):
+        g, expected = _boundary_oracle_counts("link", self.RUNS)
+        assert estimate_link_cut_fractions(g, self.RUNS, 6, workers).counts == expected
