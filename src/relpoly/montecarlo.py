@@ -31,9 +31,12 @@ setup costs more than the Python steps it saves.
 
 Runs are seeded individually by mixing the root seed with the run index,
 so results do not depend on how runs are split across worker processes.
-Removal orders of fewer than _SMALL_PERMUTATION elements are drawn
-_DRAW_BLOCK runs at a time in numpy from those same per-run streams, so
-the orders do not depend on where a block or a worker's share begins.
+Removal orders are drawn _DRAW_BLOCK runs at a time from those same
+per-run streams, so the orders do not depend on where a block or a
+worker's share begins. Orders of fewer than _SMALL_PERMUTATION elements are
+shuffled in numpy for the whole block. Larger ones come from numpy's PCG64
+generator, one per run; only its seeding hash, which costs more than a
+mid-size shuffle, is computed in numpy for the whole block.
 """
 
 from __future__ import annotations
@@ -52,13 +55,22 @@ from .curve import Curve, _check_probability
 from .exact import ReliabilityCoefficients, bernstein_mixture, _clamp01
 from .graph import _MASK64, Graph
 
-# below this size, removal orders come from a SplitMix64 Fisher-Yates shuffle,
-# _DRAW_BLOCK runs at a time in numpy (see _small_orders); from it up, from a
-# numpy generator seeded per run, whose setup a small order cannot repay; a
-# block's memory is O(_DRAW_BLOCK * n) whatever the run count
+# removal orders are drawn _DRAW_BLOCK runs at a time. Below this size they
+# come from a SplitMix64 Fisher-Yates shuffle, all in numpy (see
+# _small_orders); from it up, from numpy's PCG64 generator seeded per run,
+# whose setup a small order cannot repay, with the seeding hash of the whole
+# block in numpy (see _large_orders). A block's memory is O(_DRAW_BLOCK * n)
+# below the size and O(_DRAW_BLOCK) from it up, whatever the run count
 _SMALL_PERMUTATION = 32
 _DRAW_BLOCK = 4096
 _GAMMA = 0x9E3779B97F4A7C15
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# the constants of numpy's SeedSequence hash and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # link sweeps from this many links up start at the isolation bound (see
 # _link_threshold); below it the numpy setup costs more than it saves
 _LABEL_MIN_LINKS = 256
@@ -121,8 +133,9 @@ class CutFractionEstimate:
         return tuple(c / self.runs for c in self.counts)
 
 
-def _permutation_array(n: int, run_seed: int):
-    return np.random.Generator(np.random.PCG64(run_seed)).permutation(n)
+def _run_seeds(seed: int, start: int, stop: int):
+    """mix_seed(seed, r) for r = start..stop-1 as uint64s, which wrap mod 2^64 as it does."""
+    return _splitmix(np.arange(start + 1, stop + 1, dtype=np.uint64) * _GAMMA + (seed & _MASK64))
 
 
 def _small_orders(n: int, seed: int, start: int, stop: int):
@@ -135,12 +148,11 @@ def _small_orders(n: int, seed: int, start: int, stop: int):
     numpy's uint64 arithmetic wraps mod 2^64 as the stream does, and every
     draw of every run is taken at once; only the swaps go column by column.
     """
-    run_seeds = _splitmix(np.arange(start + 1, stop + 1, dtype=np.uint64) * _GAMMA + (seed & _MASK64))
-    z = _splitmix(run_seeds[:, None] + np.arange(1, n, dtype=np.uint64) * _GAMMA)
+    z = _splitmix(_run_seeds(seed, start, stop)[:, None] + np.arange(1, n, dtype=np.uint64) * _GAMMA)
     bound = np.arange(n, 1, -1, dtype=np.uint64)
     # the high half of z * bound from z's 32-bit halves: with bound <= 32 no
     # product reaches 2^64
-    partner = (((z >> 32) * bound + (((z & 0xFFFFFFFF) * bound) >> 32)) >> 32).astype(np.intp)
+    partner = (((z >> 32) * bound + (((z & _MASK32) * bound) >> 32)) >> 32).astype(np.intp)
     perm = np.tile(np.arange(n), (stop - start, 1))
     rows = np.arange(stop - start)
     for k, i in enumerate(range(n - 1, 0, -1)):
@@ -151,21 +163,78 @@ def _small_orders(n: int, seed: int, start: int, stop: int):
     return perm
 
 
+def _seed_words(run_seeds):
+    """np.random.SeedSequence(s).generate_state(4, np.uint64) for each uint64 s, as rows.
+
+    numpy's SeedSequence hashes s's 32-bit words, low first and zero-padded
+    to its pool of four, mixes the pool, and hashes the pool out again, all
+    in uint32 arithmetic; uint32 arrays wrap mod 2^32 the same way. Each
+    output uint64 is two output words, low first.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        z = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return z ^ (z >> 16)
+
+    low = (run_seeds & _MASK32).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(w) for w in (low, (run_seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([words[k] | words[k + 1] << 32 for k in range(0, 8, 2)], axis=1)
+
+
+def _large_orders(n: int, seed: int, start: int, stop: int, arrays: bool):
+    """Removal orders of runs start..stop-1 over n >= _SMALL_PERMUTATION elements.
+
+    Run r's order is Generator(PCG64(mix_seed(seed, r))).permutation(n).
+    The SeedSequence words of all the runs come at once from _seed_words;
+    PCG64's seeding (pcg_setseq_128_srandom_r in O'Neill's PCG, HMC-CS-2014-0905)
+    turns each run's words (w0, w1, w2, w3) into the 128-bit increment and
+    state below, which go into one reused generator through its public state.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for w0, w1, w2, w3 in _seed_words(_run_seeds(seed, start, stop)).tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state["state"] = {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+        bit_generator.state = state
+        perm = generator.permutation(n)
+        yield perm if arrays else perm.tolist()
+
+
 def _orders(dim: int, seed: int, start: int, stop: int, arrays: bool):
     """The removal orders of runs start..stop-1 over dim elements, lazily.
 
-    Below _SMALL_PERMUTATION elements they are drawn _DRAW_BLOCK runs at a
-    time and come as lists; no run of that size starts from a numpy step
-    (see _run_ends). From it up, each run draws its own, an array if
-    `arrays` is set and a list otherwise.
+    They are drawn _DRAW_BLOCK runs at a time. Below _SMALL_PERMUTATION
+    elements they come as lists; no run of that size starts from a numpy
+    step (see _run_ends). From it up, they are arrays if `arrays` is set and
+    lists otherwise.
     """
-    if dim < _SMALL_PERMUTATION:
-        for at in range(start, stop, _DRAW_BLOCK):
-            yield from _small_orders(dim, seed, at, min(at + _DRAW_BLOCK, stop)).tolist()
-        return
-    for r in range(start, stop):
-        perm = _permutation_array(dim, mix_seed(seed, r))
-        yield perm if arrays else perm.tolist()
+    for at in range(start, stop, _DRAW_BLOCK):
+        end = min(at + _DRAW_BLOCK, stop)
+        if dim < _SMALL_PERMUTATION:
+            yield from _small_orders(dim, seed, at, end).tolist()
+        else:
+            yield from _large_orders(dim, seed, at, end, arrays)
 
 
 def _node_sweep(adj, perm, start: int, inserted, parent, size, ncomp: int, out, starts=None):
@@ -517,7 +586,8 @@ def _estimate_curve(est: CutFractionEstimate):
     sum_j C(n,j) (1-c_j) p^(n-j) (1-p)^j: summing nonnegative terms avoids
     the cancellation dirt that x^p would otherwise blow up near zero.
     """
-    rev_survive = tuple(1.0 - c for c in est.fractions)[::-1]
+    # one float array per curve, not one conversion per grid point
+    rev_survive = np.array([1.0 - c for c in reversed(est.fractions)])
 
     def value(p):
         raw = bernstein_mixture(rev_survive, float(p))

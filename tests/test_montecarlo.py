@@ -31,7 +31,7 @@ from relpoly import (
     star_graph,
 )
 from relpoly import montecarlo
-from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _orders, mix_seed
+from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _orders, _seed_words, mix_seed
 from oracle import (
     estimate_link_reliability_curve,
     forward_deletion_profile,
@@ -588,20 +588,47 @@ class TestSeedMixing:
                     expected = [splitmix_shuffle(n, mix_seed(s, r)) for r in range(start, stop)]
                     assert list(_orders(n, s, start, stop, False)) == expected, (n, s, start)
 
+    def test_seed_words_are_seed_sequence(self):
+        seeds = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1] + [mix_seed(2024, t) for t in range(200)]
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.dtype == np.uint64
+        for s, row in zip(seeds, words):
+            assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist(), s
+
+    @pytest.mark.parametrize("arrays", [False, True])
+    def test_large_block_draw_is_per_run_generator(self, arrays):
+        # run r's order is Generator(PCG64(mix_seed(seed, r))).permutation(n),
+        # from the stream's start and mid-stream across a block boundary
+        for start, stop in ((0, 3), (_DRAW_BLOCK - 2, _DRAW_BLOCK + 3)):
+            for n in (32, 33, 67, 255, 256, 1000):
+                for s in self.SEEDS:
+                    got = [list(map(int, perm)) for perm in _orders(n, s, start, stop, arrays)]
+                    assert got == [run_order(n, s, r) for r in range(start, stop)], (n, s, start)
+
+
+# graphs whose block-boundary runs are checked: orders below 32 elements and
+# from 32 up; each kind has its own root seed
+_BOUNDARY_GRAPHS = {
+    "er:18,0.3": lambda: generate_er(18, 0.3, 1),
+    "ba:12,3": lambda: generate_ba(12, 3, 1),  # L = 27
+    "lattice:5x8": lambda: generate_lattice((5, 8)),  # N = 40, L = 67
+}
+_BOUNDARY_SEEDS = {"node": 5, "link": 6}
+
 
 @functools.cache
-def _boundary_oracle_counts(kind, runs):
-    """Oracle counts of the block-boundary runs: node counts on er:18,0.3, link counts on ba:12,3 (L = 27)."""
+def _boundary_oracle_counts(kind, label, runs):
+    """The graph `label` and the oracle counts of its block-boundary runs."""
+    g = _BOUNDARY_GRAPHS[label]()
+    seed = _BOUNDARY_SEEDS[kind]
     if kind == "node":
-        g = generate_er(18, 0.3, 1)
         out = [0] * (g.num_nodes + 1)
         for r in range(runs):
-            node_disconnection_into(g.adjacency, g.num_nodes, run_order(g.num_nodes, 5, r), out)
+            node_disconnection_into(g.adjacency, g.num_nodes, run_order(g.num_nodes, seed, r), out)
     else:
-        g = generate_ba(12, 3, 1)
         out = [0] * (g.num_links + 1)
         for r in range(runs):
-            link_disconnection_into(g.edges(), g.num_nodes, g.num_links, run_order(g.num_links, 6, r), out)
+            link_disconnection_into(g.edges(), g.num_nodes, g.num_links, run_order(g.num_links, seed, r), out)
     return g, tuple(out)
 
 
@@ -613,10 +640,22 @@ class TestBlockBoundaryParity:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_node_counts(self, workers):
-        g, expected = _boundary_oracle_counts("node", self.RUNS)
+        g, expected = _boundary_oracle_counts("node", "er:18,0.3", self.RUNS)
         assert estimate_node_cut_fractions(g, self.RUNS, 5, workers).counts == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_link_counts(self, workers):
-        g, expected = _boundary_oracle_counts("link", self.RUNS)
+        g, expected = _boundary_oracle_counts("link", "ba:12,3", self.RUNS)
+        assert estimate_link_cut_fractions(g, self.RUNS, 6, workers).counts == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mid_size_node_counts(self, workers):
+        g, expected = _boundary_oracle_counts("node", "lattice:5x8", self.RUNS)
+        assert g.num_nodes >= montecarlo._SMALL_PERMUTATION
+        assert estimate_node_cut_fractions(g, self.RUNS, 5, workers).counts == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mid_size_link_counts(self, workers):
+        g, expected = _boundary_oracle_counts("link", "lattice:5x8", self.RUNS)
+        assert montecarlo._SMALL_PERMUTATION <= g.num_links < montecarlo._LABEL_MIN_LINKS
         assert estimate_link_cut_fractions(g, self.RUNS, 6, workers).counts == expected
