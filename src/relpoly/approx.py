@@ -25,13 +25,6 @@ def _stochastic_curve(graph: Graph, grid, kind: str) -> Curve:
     grid = tuple(grid)
     for p in grid:
         _check_probability(p)
-    if not graph.is_connected():
-        warnings.warn(
-            f"stochastic {kind} reliability applied to a disconnected graph; the "
-            "no-isolated-node surrogate for connectivity is unreliable there",
-            ConnectivityWarning,
-            stacklevel=3,  # the caller of the public function
-        )
     n = graph.num_nodes
     values = []
     for p in grid:
@@ -41,6 +34,14 @@ def _stochastic_curve(graph: Graph, grid, kind: str) -> Curve:
         phi = graph.degree_distribution().pgf(1.0 - p)
         exponent = n * p if kind == "node" else n
         values.append(0.0 if phi >= 1.0 else math.exp(exponent * math.log1p(-phi)))
+    # after the values: a graph with no degree distribution gets its error alone
+    if not graph.is_connected():
+        warnings.warn(
+            f"stochastic {kind} reliability applied to a disconnected graph; the "
+            "no-isolated-node surrogate for connectivity is unreliable there",
+            ConnectivityWarning,
+            stacklevel=3,  # the caller of the public function
+        )
     return Curve(grid, tuple(values), {"method": "stochastic", "kind": kind})
 
 

@@ -36,32 +36,61 @@ class UsageError(Exception):
     pass
 
 
-def _check_node_count(num_nodes: int, source: str):
-    """Refuse a graph source of more nodes than an edge list may name."""
+def _check_size(source: str, num_nodes: int, num_links, expected=False):
+    """Refuse a graph source of more than MAX_EDGE_LIST_NODES nodes or
+    links, before anything is built and before the generator checks its own
+    parameters; `expected` marks a link count that is a random graph's mean."""
     if num_nodes > MAX_EDGE_LIST_NODES:
         raise CapacityError(f"{source} has {num_nodes} nodes, above the limit of {MAX_EDGE_LIST_NODES}")
+    if num_links > MAX_EDGE_LIST_NODES:
+        count = f"expects about {round(num_links)}" if expected else f"has {num_links}"
+        raise CapacityError(f"{source} {count} links, above the limit of {MAX_EDGE_LIST_NODES}")
+
+
+def _pairs(n: int) -> int:
+    """C(n, 2), and 0 for any n below 2."""
+    return n * (n - 1) // 2 if n > 0 else 0
+
+
+# link count of each FAMILIES graph on n nodes
+_FAMILY_LINKS = {
+    "complete": _pairs,
+    "complete-pendant": lambda n: _pairs(n - 1) + 1,
+    "cycle": lambda n: n,
+    "path": lambda n: n - 1,
+    "star": lambda n: n - 1,
+    "star-pendant": lambda n: n - 1,
+}
 
 
 def _parse_gen_spec(spec: str, seed: int) -> Graph:
     """Inline generator specs: er:N,PL  rgg:N,R  ba:N,M  lattice:D1xD2[xD3].
 
-    A spec of more than MAX_EDGE_LIST_NODES nodes is a CapacityError,
-    raised before anything is built.
+    A spec of more than MAX_EDGE_LIST_NODES nodes or links is a
+    CapacityError, raised before anything is built. The link count is
+    exact for ba and lattice, and the mean for er (min(1, PL) C(N,2)) and rgg
+    (min(1, pi R^2) C(N,2), the square's boundary ignored).
     """
-    # name -> (generator, type of its second parameter)
-    pairs = {"er": (generate_er, float), "rgg": (generate_rgg, float), "ba": (generate_ba, int)}
+    # name -> (generator, type of its second parameter, link count, whether that is a mean)
+    pairs = {
+        "er": (generate_er, float, lambda n, p: min(1.0, p) * _pairs(n), True),
+        "rgg": (generate_rgg, float, lambda n, r: min(1.0, math.pi * r * r) * _pairs(n), True),
+        "ba": (generate_ba, int, lambda n, m: _pairs(m) + m * (n - m), False),
+    }
     try:
         name, _, args = spec.partition(":")
         if name in pairs:
-            generate, second = pairs[name]
+            generate, second, links, expected = pairs[name]
             n_s, x_s = args.split(",")
             n, x = int(n_s), second(x_s)
-            _check_node_count(n, spec)
+            _check_size(spec, n, links(n, x), expected)
             return generate(n, x, seed)
         if name == "lattice":
             dims = [int(d) for d in args.split("x")]
             if min(dims) > 0:
-                _check_node_count(math.prod(dims), spec)
+                nodes = math.prod(dims)
+                # along each axis, every node but the last layer's links to its successor
+                _check_size(spec, nodes, sum(nodes - nodes // d for d in dims))
             return generate_lattice(dims)
     except ValueError as err:
         raise UsageError(f"bad generator spec {spec!r}: {err}") from None
@@ -81,7 +110,7 @@ def _load_graph(args) -> tuple:
     if args.n is None:
         raise UsageError("--family requires --n")
     label = f"{args.family}:{args.n}"
-    _check_node_count(args.n, label)
+    _check_size(label, args.n, _FAMILY_LINKS[args.family](args.n))
     builder, _ = FAMILIES[args.family]
     return builder(args.n), label
 

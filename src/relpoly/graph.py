@@ -256,10 +256,9 @@ class DegreeDistribution:
 def degree_distribution(graph: Graph) -> DegreeDistribution:
     if graph.num_nodes == 0:
         raise ValueError("degree distribution of an empty graph is undefined")
-    counts: dict[int, int] = {}
-    for d in graph.degrees():
-        counts[d] = counts.get(d, 0) + 1
-    return DegreeDistribution(counts, graph.num_nodes)
+    counts = np.bincount(np.fromiter(map(len, graph.adjacency), np.int64, graph.num_nodes))
+    degrees = np.flatnonzero(counts)
+    return DegreeDistribution(dict(zip(degrees.tolist(), counts[degrees].tolist())), graph.num_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +288,14 @@ def load_edge_list(text: str) -> Graph:
     A node count above MAX_EDGE_LIST_NODES, named by "# nodes N" or implied
     by an id, is refused before any per-node allocation.
 
-    Text in the form `save_edge_list` writes is converted in bulk by numpy;
+    Text in the form `save_edge_list` writes is read in one numpy scan;
     any other text, and any error, goes through a per-line loop, which
     names the line of the first bad link in an EdgeListFormatError.
     """
     saved = _SAVED_FORM.fullmatch(text)
     if saved:
-        ids = np.array(saved[2].split(), dtype=np.int64)
+        # one C-level scan; the form has already checked every token
+        ids = np.fromstring(saved[2], dtype=np.int64, sep=" ")
         n = int(saved[1]) if saved[1] else int(ids.max(initial=-1)) + 1
         # above the node limit, a self-loop or an id of N or more: the loop names the line
         if n <= MAX_EDGE_LIST_NODES:

@@ -152,8 +152,8 @@ def random_pairing_addition(graph: Graph, k: int, seed: int):
     free = _capacity_check(graph, k)
     n = graph.num_nodes
     starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # position of (u, u+1)
-    lo, hi = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
-    linked = starts[lo] + hi - lo - 1  # ascending: edges() lists links in this order
+    lo, hi = graph.link_ends
+    linked = starts[lo] + hi - lo - 1  # ascending: link_ends lists links in this order
     chosen = np.sort(_seeded_generator(seed).choice(free, size=k, replace=False))
     # skip every linked pair at or below the answer
     ranks = chosen + np.searchsorted(linked - np.arange(linked.size), chosen, side="right")

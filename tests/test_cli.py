@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 
 from oracle import brute_cut_counts, brute_link_kept_counts
 from relpoly import Curve, cutset, exact, generate_lattice, load_edge_list, montecarlo, save_edge_list
-from relpoly.cli import build_parser, main
+from relpoly.cli import _load_graph, build_parser, main
+from relpoly.graph import FAMILIES
 
 
 def run_cli(args):
@@ -112,6 +114,15 @@ class TestApprox:
             "warning: stochastic node reliability applied to a disconnected graph; the "
             "no-isolated-node surrogate for connectivity is unreliable there\n"
         )
+
+    def test_empty_graph_is_one_error_line(self, tmp_path, capsys):
+        # the empty graph is disconnected, but its error comes alone
+        graph = tmp_path / "empty.edges"
+        graph.write_text("")
+        assert run_cli(["approx", "stochastic", "--input", graph]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree distribution of an empty graph is undefined\n"
 
     def test_rgg_skips_sub_survivor_grid_points(self, tmp_path, capsys):
         out = tmp_path / "rgg.csv"
@@ -368,10 +379,46 @@ class TestUsageErrors:
             raise MemoryError
 
         monkeypatch.setattr("relpoly.cli.generate_lattice", exhausted)
-        assert run_cli(["approx", "stochastic", "--gen", "lattice:10000x1000"]) == 1
+        assert run_cli(["approx", "stochastic", "--gen", "lattice:1000x1000"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: out of memory; the input is too large for the memory available\n"
+
+    @pytest.mark.parametrize("source, message", [
+        (["--gen", "er:100000,0.5"], "er:100000,0.5 expects about 2499975000 links"),
+        (["--gen", "rgg:100000,0.1"], "rgg:100000,0.1 expects about 157078062 links"),
+        (["--gen", "lattice:10000x1000"], "lattice:10000x1000 has 19989000 links"),
+        (["--gen", "ba:5000000,3"], "ba:5000000,3 has 14999994 links"),
+        (["--family", "complete", "--n", 5000], "complete:5000 has 12497500 links"),
+    ], ids=["er", "rgg", "lattice", "ba", "complete"])
+    def test_graph_source_above_link_limit(self, tmp_path, capsys, source, message):
+        # each is within the node limit; er:100000,0.5 would draw 5*10^9 doubles
+        out = tmp_path / "g.edges"
+        start = time.perf_counter()
+        code = run_cli(["generate", *source, "--out", out] if source[0] == "--gen"
+                       else ["approx", "stochastic", *source])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}, above the limit of 10000000\n"
+
+    @pytest.mark.parametrize("source", [
+        ["--gen", "ba:30,3"], ["--gen", "ba:5,4"], ["--gen", "lattice:4x5"], ["--gen", "lattice:1x7"],
+        ["--gen", "lattice:2x3x4"],
+        *(["--family", name, "--n", n] for name, (_, low) in FAMILIES.items() for n in (low, 9)),
+    ], ids=lambda source: "-".join(str(a) for a in source if not str(a).startswith("--")))
+    def test_exact_link_count_is_the_built_one(self, monkeypatch, source):
+        checked = []
+        monkeypatch.setattr("relpoly.cli._check_size",
+                            lambda label, nodes, links, expected=False: checked.append((nodes, links, expected)))
+        graph, _ = _load_graph(build_parser().parse_args(["exact", *map(str, source)]))
+        assert checked == [(graph.num_nodes, graph.num_links, False)]
+
+    def test_dense_rgg_within_link_limit(self, tmp_path, monkeypatch):
+        # the dense CI graph (2.7M links, about 3.5M expected) is accepted; a stub builds it
+        built = []
+        monkeypatch.setattr("relpoly.cli.generate_rgg", lambda *args: built.append(args) or generate_lattice((2, 2)))
+        assert run_cli(["generate", "--gen", "rgg:5000,0.3", "--out", tmp_path / "g.edges"]) == 0
+        assert built == [(5000, 0.3, 0)]
 
     def test_generate_above_node_limit(self, tmp_path, capsys):
         out = tmp_path / "g.edges"

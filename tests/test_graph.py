@@ -1,8 +1,10 @@
+import collections
 import itertools
 import json
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +324,10 @@ class TestDegreeDistribution:
         with pytest.raises(ValueError):
             Graph(0).degree_distribution()
 
+    def test_counts_equal_a_per_node_count(self):
+        for g in (case.values[0] for case in _SAVED_FORM_CORPUS):
+            assert degree_distribution(g).degree_counts == collections.Counter(g.degrees())
+
     def test_cached_on_the_graph(self):
         g = star_graph(5)
         d = g.degree_distribution()
@@ -615,3 +621,55 @@ class TestBlockGenerators:
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 2**20, (generate.__name__, peak)
+
+
+def _saved_form_corpus():
+    """Graphs of every generator and family, for the saved-form scan: the
+    block generators' cases, less their dense graphs above N = 100."""
+    cases = [case.values for case in _generator_corpus() if case.values[0] <= 100 or case.values[1] < 0.1]
+    graphs = [(f"er-{n}-{pl:.3g}", generate_er(n, pl, seed)) for n, pl, _, seed in cases]
+    graphs += [(f"rgg-{n}-{r:.3g}", generate_rgg(n, r, seed)) for n, _, r, seed in cases]
+    graphs += [("ba-200-3", generate_ba(200, 3, 4)), ("er-100-trailing-isolated", generate_er(100, 0.01, 6))]
+    graphs += [("lattice-" + "x".join(map(str, dims)), generate_lattice(dims)) for dims in _LATTICE_DIMS]
+    graphs += [(f"{name}-{n}", builder(n)) for name, (builder, low) in FAMILIES.items() for n in (low, 9)]
+    return [pytest.param(g, id=label) for label, g in graphs]
+
+
+_SAVED_FORM_CORPUS = _saved_form_corpus()
+
+
+def _per_line_parse(text):
+    """The graph of saved-form text, read one line at a time by hand."""
+    lines = text.splitlines()
+    n = int(lines.pop(0).removeprefix("# nodes ")) if lines and lines[0].startswith("#") else None
+    pairs = [(int(u), int(v)) for u, v in map(str.split, lines)]
+    return Graph(max(map(max, pairs), default=-1) + 1 if n is None else n, pairs)
+
+
+class TestSavedFormScan:
+    """load_edge_list reads text in the saved form with one numpy scan."""
+
+    @pytest.mark.parametrize("g", _SAVED_FORM_CORPUS)
+    def test_round_trip_equals_a_per_line_parse(self, g):
+        text = save_edge_list(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scanned = load_edge_list(_NoLoop(text))
+        expected = _per_line_parse(text)
+        assert scanned == g == expected and scanned.num_nodes == g.num_nodes == expected.num_nodes
+
+    @pytest.mark.parametrize("g", _SAVED_FORM_CORPUS)
+    def test_link_ends_in_edges_order(self, g):
+        # random_pairing_addition relies on this order
+        assert list(map(tuple, g.link_ends.T.tolist())) == g.edges()
+
+    @pytest.mark.parametrize("text, n, links", [
+        ("# nodes 5\n0 1\n2 3\n", 5, [(0, 1), (2, 3)]),
+        ("# nodes 3\n", 3, []),
+        ("", 0, []),
+    ], ids=["trailing-isolated", "header-only", "empty"])
+    def test_edge_cases(self, text, n, links):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_edge_list(_NoLoop(text))
+        assert g == Graph(n, links) and g.num_nodes == n and save_edge_list(g) == text
