@@ -26,8 +26,20 @@ removal counts whose residual has an isolated node; the residual just
 below it is labelled in one numpy pass, and the sweep starts there. While
 one component remains, it jumps straight to the next node with no
 neighbour behind it in the order, the only kind that starts a new
-component. Smaller or denser graphs keep the plain sweep: there the numpy
-setup costs more than the Python steps it saves.
+component. Smaller or denser graphs skip that start: there the numpy setup
+costs more than the Python steps it saves.
+
+Estimate runs that no numpy step starts are swept a block at a time
+instead, where the graph allows: link runs below _LABEL_MIN_LINKS links,
+and node runs on graphs below _NODE_SHORTCUT_MIN_NODES nodes whose largest
+degree is at most _BLOCK_MAX_DEGREE. The runs of a block of removal orders
+share one flat union-find state and go in lockstep, each step one numpy
+pass over every run: a link insertion, or one neighbour slot of a node
+insertion. A node step makes one pass per slot up to the largest degree,
+however few neighbours the inserted nodes have, so on graphs with larger
+degrees the per-run sweep, which skips its finds while one component
+remains, is faster, and those keep it. A removal profile scores one order,
+which fills no block, so both profiles keep the per-run sweeps too.
 
 Runs are seeded individually by mixing the root seed with the run index,
 so results do not depend on how runs are split across worker processes.
@@ -60,7 +72,9 @@ from .graph import _MASK64, Graph
 # _small_orders); from it up, from numpy's PCG64 generator seeded per run,
 # whose setup a small order cannot repay, with the seeding hash of the whole
 # block in numpy (see _large_orders). A block's memory is O(_DRAW_BLOCK * n)
-# below the size and O(_DRAW_BLOCK) from it up, whatever the run count
+# below the size and O(_DRAW_BLOCK) from it up, whatever the run count; runs
+# swept a block at a time (see _sweep_way) take a block as one (runs, n)
+# array, so large orders are copied into one, of at most a slice's rows
 _SMALL_PERMUTATION = 32
 _DRAW_BLOCK = 4096
 _GAMMA = 0x9E3779B97F4A7C15
@@ -79,6 +93,14 @@ _LABEL_MIN_LINKS = 256
 # _node_run); on smaller or denser graphs the numpy setup costs more
 _NODE_SHORTCUT_MIN_NODES = 500
 _NODE_SHORTCUT_MAX_MEAN_DEGREE = 16
+# below _NODE_SHORTCUT_MIN_NODES, node runs on graphs whose largest degree is
+# at most this are swept a block at a time (see _node_block_counts), one
+# numpy union pass per neighbour slot; at largest degrees 13-18 that ran at
+# 0.99-1.35x the per-run sweep's speed, and from 19 up mostly slower
+_BLOCK_MAX_DEGREE = 12
+# a lockstep sweep holds O(rows * (n + 1)) union-find state, so it takes at
+# most about this many cells' worth of rows at a time
+_BLOCK_CELLS = 1 << 20
 
 
 def _splitmix(z):
@@ -222,12 +244,12 @@ def _large_orders(n: int, seed: int, start: int, stop: int, arrays: bool):
 
 
 def _orders(dim: int, seed: int, start: int, stop: int, arrays: bool):
-    """The removal orders of runs start..stop-1 over dim elements, lazily.
+    """The removal orders of runs start..stop-1 over dim elements, one run at a time.
 
-    They are drawn _DRAW_BLOCK runs at a time. Below _SMALL_PERMUTATION
-    elements they come as lists; no run of that size starts from a numpy
-    step (see _run_ends). From it up, they are arrays if `arrays` is set and
-    lists otherwise.
+    They serve the runs swept one at a time (see _sweep_way) and are drawn
+    _DRAW_BLOCK runs at a time. Below _SMALL_PERMUTATION elements they come
+    as lists; no run of that size starts from a numpy step. From it up, they
+    are arrays if `arrays` is set and lists otherwise.
     """
     for at in range(start, stop, _DRAW_BLOCK):
         end = min(at + _DRAW_BLOCK, stop)
@@ -235,6 +257,32 @@ def _orders(dim: int, seed: int, start: int, stop: int, arrays: bool):
             yield from _small_orders(dim, seed, at, end).tolist()
         else:
             yield from _large_orders(dim, seed, at, end, arrays)
+
+
+def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
+    """The removal orders of runs start..stop-1 over dim elements, as (runs, dim) intp arrays.
+
+    Each draw block of _DRAW_BLOCK runs comes in slices of at most `rows`
+    runs. A small block is sliced as _small_orders drew it; large orders are
+    copied row by row into one array reused for every slice, which is valid
+    until the next slice is asked for.
+    """
+    buffer = None
+    for at in range(start, stop, _DRAW_BLOCK):
+        end = min(at + _DRAW_BLOCK, stop)
+        if dim < _SMALL_PERMUTATION:
+            block = _small_orders(dim, seed, at, end)
+            for i in range(0, end - at, rows):
+                yield block[i : i + rows]
+            continue
+        if buffer is None:
+            buffer = np.empty((min(rows, _DRAW_BLOCK, stop - start), dim), np.intp)
+        draws = _large_orders(dim, seed, at, end, True)
+        for i in range(at, end, rows):
+            slice_ = buffer[: min(rows, end - i)]
+            for j, perm in zip(range(len(slice_)), draws):
+                slice_[j] = perm
+            yield slice_
 
 
 def _node_sweep(adj, perm, start: int, inserted, parent, size, ncomp: int, out, starts=None):
@@ -431,7 +479,8 @@ def _link_connection_threshold(edges, perm, start: int, parent, size, ncomp: int
 def _link_threshold(edges, ends, n: int, perm) -> int:
     """_link_connection_threshold of a whole removal order.
 
-    ends is _run_ends("link", graph). When it is None, perm is a list and
+    ends is graph.link_ends on the "numpy-start" way (see _sweep_way) and
+    None otherwise. When it is None, perm is a list and
     the sweep starts from N single nodes. Otherwise perm is an array, and
     the sweep starts at the isolation bound t_iso: the smallest, over nodes,
     of the last removal position among a node's links. After t_iso + 1
@@ -461,19 +510,137 @@ def _link_threshold(edges, ends, n: int, perm) -> int:
     )
 
 
-def _run_ends(kind: str, graph: Graph):
-    """graph.link_ends when runs of this kind start from a numpy step, else None.
+def _roots(parent, x):
+    """The union-find roots of the flat ids x, halving every path walked.
 
-    Link runs do from _LABEL_MIN_LINKS links up. Node runs do on graphs with
-    at least _NODE_SHORTCUT_MIN_NODES nodes and a mean degree of at most
+    Ids of x may share a tree: every write points an id at one of its
+    ancestors, so each walk still ends at the root.
+    """
+    p = parent[x]
+    walk = np.flatnonzero(p != x)
+    if not len(walk):
+        return x
+    x = x.copy()
+    at, p = x[walk], p[walk]
+    while len(walk):
+        up = parent[p]
+        parent[at] = up
+        x[walk] = up
+        p = parent[up]
+        more = p != up
+        walk, at, p = walk[more], up[more], p[more]
+    return x
+
+
+def _union(parent, size, x, y):
+    """Join the distinct roots x[k] and y[k], the smaller under the larger; the new roots."""
+    sx, sy = size[x], size[y]
+    swap = sx < sy
+    root = np.where(swap, y, x)
+    child = np.where(swap, x, y)
+    parent[child] = root
+    size[root] = sx + sy
+    return root
+
+
+def _link_block_thresholds(ends, n: int, perms):
+    """_link_connection_threshold of every row of perms, swept in lockstep.
+
+    Each row is one run's removal order over the links (ends[0][e], ends[1][e]).
+    Run r owns the slice r*n..r*n+n-1 of one flat union-find state. Links
+    go in one column at a time from the last position; a run leaves the
+    live set at the insertion that connects all its nodes. The state is
+    O(rows * n).
+    """
+    rows, l = perms.shape
+    base = np.arange(rows) * n
+    parent = np.arange(rows * n)
+    size = np.ones(rows * n, np.intp)
+    ncomp = np.full(rows, n)
+    last = np.full(rows, l if n == 1 else -1)  # one node is connected at every j
+    live = np.arange(rows if n > 1 else 0)
+    heads, tails = ends
+    for t in range(l - 1, -1, -1):
+        e = perms[live, t]
+        off = base[live]
+        k = len(live)
+        roots = _roots(parent, np.concatenate((heads[e] + off, tails[e] + off)))
+        x, y = roots[:k], roots[k:]
+        join = np.flatnonzero(x != y)
+        _union(parent, size, x[join], y[join])
+        joined = live[join]
+        ncomp[joined] -= 1
+        done = ncomp[joined] == 1
+        if done.any():
+            last[joined[done]] = t
+            live = live[ncomp[live] != 1]
+            if not len(live):
+                break
+    return last
+
+
+def _node_block_counts(slots, perms, out):
+    """Add to out[j], for j = 0..n, the rows of perms whose residual perm[j:] is disconnected.
+
+    slots is the graph's (max degree, n + 1) neighbour table, padded with
+    the sentinel id n, which also fills the last column. Run r owns the
+    slice r*(n+1)..r*(n+1)+n of one flat union-find state, whose last id is
+    the sentinel, never inserted. Nodes go in one column at a time from the
+    last position, and each neighbour slot is one union pass over all runs.
+    A run whose inserted nodes are down to one component reads the
+    sentinel's slots for the rest of the column: no neighbour can join
+    anything more. The state is O(rows * (n + 1)).
+    """
+    rows, n = perms.shape
+    width = n + 1
+    base = np.arange(rows) * width
+    parent = np.arange(rows * width)
+    size = np.ones(rows * width, np.intp)
+    inserted = np.zeros(rows * width, bool)
+    ncomp = np.zeros(rows, np.intp)
+    columns = perms.T.copy()
+    for t in range(n - 1, -1, -1):
+        v = columns[t]
+        x = base + v  # the root of each run's new node as its component grows
+        inserted[x] = True
+        ncomp += 1
+        for slot in slots:
+            u = slot[v] + base
+            hit = np.flatnonzero(inserted[u])
+            if not len(hit):
+                continue
+            y = _roots(parent, u[hit])
+            xh = x[hit]
+            join = np.flatnonzero(xh != y)
+            hit = hit[join]
+            x[hit] = _union(parent, size, xh[join], y[join])
+            ncomp[hit] -= 1
+            v[hit[ncomp[hit] == 1]] = n
+        out[t] += rows - np.count_nonzero(ncomp == 1)
+    out[n] += rows
+
+
+def _sweep_way(kind: str, graph: Graph) -> str:
+    """How runs of this kind are swept on this graph: "numpy-start", "block" or "plain".
+
+    "numpy-start": each run starts from a numpy step and sweeps on in Python
+    lists (see _link_threshold and _node_run). Link runs do from
+    _LABEL_MIN_LINKS links up; node runs on graphs with at least
+    _NODE_SHORTCUT_MIN_NODES nodes and a mean degree of at most
     _NODE_SHORTCUT_MAX_MEAN_DEGREE.
+    "block": estimate runs are swept a block at a time in numpy (see
+    _link_block_thresholds and _node_block_counts): link runs below
+    _LABEL_MIN_LINKS links, and node runs on graphs below
+    _NODE_SHORTCUT_MIN_NODES nodes with no degree above _BLOCK_MAX_DEGREE.
+    "plain": each run sweeps in Python lists from its whole order. The
+    removal profiles take this way for "block" too: one order fills no block.
     """
     n, l = graph.num_nodes, graph.num_links
     if kind == "link":
-        numpy_start = l >= _LABEL_MIN_LINKS
-    else:
-        numpy_start = n >= _NODE_SHORTCUT_MIN_NODES and 2 * l <= _NODE_SHORTCUT_MAX_MEAN_DEGREE * n
-    return graph.link_ends if numpy_start else None
+        return "numpy-start" if l >= _LABEL_MIN_LINKS else "block"
+    if n >= _NODE_SHORTCUT_MIN_NODES:
+        return "numpy-start" if 2 * l <= _NODE_SHORTCUT_MAX_MEAN_DEGREE * n else "plain"
+    return "block" if max(map(len, graph.adjacency), default=0) <= _BLOCK_MAX_DEGREE else "plain"
 
 
 def _check_order(order, size: int, what: str):
@@ -491,8 +658,8 @@ def _check_order(order, size: int, what: str):
 def _node_counts(graph: Graph, ends, orders) -> list:
     """Disconnection counts for j = 0..N over the removal orders.
 
-    ends is _run_ends("node", graph); the orders are arrays when it is set,
-    else lists.
+    ends is graph.link_ends on the "numpy-start" way (see _sweep_way) and
+    None otherwise; the orders are arrays when it is set, else lists.
     """
     n, adj = graph.num_nodes, graph.adjacency
     out = [0] * (n + 1)
@@ -509,7 +676,7 @@ def _node_counts(graph: Graph, ends, orders) -> list:
 def node_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..N under one explicit removal order."""
     order = _check_order(removal_order, graph.num_nodes, "node")
-    ends = _run_ends("node", graph)
+    ends = graph.link_ends if _sweep_way("node", graph) == "numpy-start" else None
     return [bool(x) for x in _node_counts(graph, ends, [order.tolist() if ends is None else order])]
 
 
@@ -517,7 +684,7 @@ def link_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..L removed links, nodes always present."""
     l = graph.num_links
     order = _check_order(removal_order, l, "link")
-    ends = _run_ends("link", graph)
+    ends = graph.link_ends if _sweep_way("link", graph) == "numpy-start" else None
     last = _link_threshold(graph.links, ends, graph.num_nodes, order.tolist() if ends is None else order)
     return [False] * (last + 1) + [True] * (l - last)
 
@@ -525,15 +692,32 @@ def link_removal_profile(graph: Graph, removal_order) -> list:
 def _count_range(kind: str, graph: Graph, seed: int, start: int, stop: int) -> list:
     """Disconnection counts of runs start..stop-1, from the arguments alone."""
     n, l = graph.num_nodes, graph.num_links
-    ends = _run_ends(kind, graph)
-    orders = _orders(n if kind == "node" else l, seed, start, stop, ends is not None)
-    if kind == "node":
-        return _node_counts(graph, ends, orders)
+    dim = n if kind == "node" else l
+    way = _sweep_way(kind, graph)
+    if way == "block":
+        blocks = _order_blocks(dim, seed, start, stop, max(1, _BLOCK_CELLS // (n + 1)))
+        if kind == "node":
+            slots = np.full((max(map(len, graph.adjacency), default=0), n + 1), n, np.intp)
+            for v, neighbours in enumerate(graph.adjacency):
+                slots[: len(neighbours), v] = neighbours
+            out = np.zeros(n + 1, np.intp)
+            for perms in blocks:
+                _node_block_counts(slots, perms, out)
+            return out.tolist()
+        runs = np.zeros(l + 2, np.intp)
+        for perms in blocks:
+            runs += np.bincount(_link_block_thresholds(graph.link_ends, n, perms) + 1, minlength=l + 2)
+        runs = runs.tolist()
+    else:
+        ends = graph.link_ends if way == "numpy-start" else None
+        orders = _orders(dim, seed, start, stop, ends is not None)
+        if kind == "node":
+            return _node_counts(graph, ends, orders)
+        runs = [0] * (l + 2)
+        for perm in orders:
+            runs[_link_threshold(graph.links, ends, n, perm) + 1] += 1
     # runs[k] counts the runs whose threshold is k - 1; a run is disconnected
     # at every j above its threshold, so the counts are the prefix sums
-    runs = [0] * (l + 2)
-    for perm in orders:
-        runs[_link_threshold(graph.links, ends, n, perm) + 1] += 1
     return list(itertools.accumulate(runs[: l + 1]))
 
 
@@ -552,9 +736,15 @@ def _estimate(graph: Graph, kind: str, runs: int, seed: int, workers) -> CutFrac
         counts = _count_range(kind, graph, seed, 0, runs)
     else:
         step = max(1, runs // (w * 4))
+        if _sweep_way(kind, graph) == "block":
+            # a lockstep sweep cut short of a whole draw block loses most of its gain
+            step = -(-step // _DRAW_BLOCK) * _DRAW_BLOCK
         chunks = [(kind, graph, seed, at, min(at + step, runs)) for at in range(0, runs, step)]
-        with multiprocessing.get_context("fork").Pool(w) as pool:
-            counts = [sum(column) for column in zip(*pool.starmap(_count_range, chunks))]
+        if len(chunks) == 1:
+            counts = _count_range(*chunks[0])
+        else:
+            with multiprocessing.get_context("fork").Pool(w) as pool:
+                counts = [sum(column) for column in zip(*pool.starmap(_count_range, chunks))]
     return CutFractionEstimate(kind, dim, tuple(counts), runs, seed)
 
 

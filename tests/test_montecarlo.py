@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -365,7 +366,8 @@ class TestNodeShortcutEqualsOracle:
 
     def test_corpus(self):
         for label, g in SHORTCUT_GRAPHS:
-            assert (montecarlo._run_ends("node", g) is None) == (label in _UNSHORTCUT), label
+            way = "plain" if label in _UNSHORTCUT else "numpy-start"
+            assert montecarlo._sweep_way("node", g) == way, label
             assert g.is_connected() == (label not in _DISCONNECTED), label
 
     @pytest.mark.parametrize("label,g", SHORTCUT_GRAPHS, ids=[x for x, _ in SHORTCUT_GRAPHS])
@@ -659,3 +661,169 @@ class TestBlockBoundaryParity:
         g, expected = _boundary_oracle_counts("link", "lattice:5x8", self.RUNS)
         assert montecarlo._SMALL_PERMUTATION <= g.num_links < montecarlo._LABEL_MIN_LINKS
         assert estimate_link_cut_fractions(g, self.RUNS, 6, workers).counts == expected
+
+
+def _range_oracle_counts(kind, g, seed, start, stop):
+    """Counts of runs start..stop-1 by the plain kernels in tests/oracle.py."""
+    n, l = g.num_nodes, g.num_links
+    out = [0] * ((n if kind == "node" else l) + 1)
+    for r in range(start, stop):
+        if kind == "node":
+            node_disconnection_into(g.adjacency, n, run_order(n, seed, r), out)
+        else:
+            link_disconnection_into(g.edges(), n, l, run_order(l, seed, r), out)
+    return out
+
+
+def _wheel(k):
+    """A k-cycle and a hub, node k, linked to every cycle node: largest degree k."""
+    return Graph(k + 1, [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)])
+
+
+def _links_of(g, count):
+    """The graph on g's nodes with g's first `count` links."""
+    return Graph(g.num_nodes, g.edges()[:count])
+
+
+class TestBlockSweeps:
+    """Estimate runs swept a block at a time in lockstep, against the
+    per-run kernels: the union-find sweep in src and the plain kernels in
+    tests/oracle.py."""
+
+    RUNS = 60
+
+    def test_link_thresholds_run_by_run(self, corpus):
+        rng = np.random.Generator(np.random.PCG64(256))
+        graphs = corpus + SWEEP_GRAPHS + [("path:2", path_graph(2))]
+        for label, g in graphs:
+            n, l = g.num_nodes, g.num_links
+            if montecarlo._sweep_way("link", g) != "block" or not l:
+                continue
+            perms = rng.permuted(np.tile(np.arange(l), (self.RUNS, 1)), axis=1)
+            expected = [montecarlo._link_connection_threshold(g.links, perm, l - 1, list(range(n)), [1] * n, n)
+                        for perm in perms.tolist()]
+            assert montecarlo._link_block_thresholds(g.link_ends, n, perms).tolist() == expected, label
+
+    def test_corpus_node_counts(self, corpus):
+        swept = 0
+        for label, g in corpus:
+            if montecarlo._sweep_way("node", g) == "block":
+                swept += 1
+                assert _count_range("node", g, 41, 0, self.RUNS) == _range_oracle_counts(
+                    "node", g, 41, 0, self.RUNS), label
+        assert swept == len(corpus)  # no corpus graph has a degree above 12
+
+    def test_smallest_graphs(self):
+        # one node: no union at all; two nodes and one link (L = 1): one
+        # union, which the single link's presence decides
+        assert montecarlo._sweep_way("node", Graph(1)) == "block"
+        assert estimate_node_cut_fractions(Graph(1), 5, 3).counts == (0, 5)
+        assert estimate_node_cut_fractions(path_graph(2), 5, 3).counts == (0, 0, 5)
+        assert montecarlo._sweep_way("link", path_graph(2)) == "block"
+        assert estimate_link_cut_fractions(path_graph(2), 5, 3).counts == (0, 5)
+
+    @pytest.mark.parametrize("g", [path_graph(9), star_graph(7), generate_ba(20, 1, 3)], ids=["path", "star", "ba:20,1"])
+    def test_tree_thresholds_are_zero(self, g):
+        l = g.num_links
+        perms = next(montecarlo._order_blocks(l, 8, 0, self.RUNS, self.RUNS))
+        assert not montecarlo._link_block_thresholds(g.link_ends, g.num_nodes, perms).any()
+        assert _count_range("link", g, 8, 0, self.RUNS) == [0] + [self.RUNS] * l
+
+    @pytest.mark.parametrize("g", [Graph(7, [(2, 5)]), Graph(13, [(i, (i + 1) % 10) for i in range(10)])],
+                             ids=["edge+5", "cycle+3"])
+    def test_node_estimate_with_isolated_nodes(self, g):
+        assert montecarlo._sweep_way("node", g) == "block"
+        est = estimate_node_cut_fractions(g, self.RUNS, 12)
+        assert est.counts == tuple(_range_oracle_counts("node", g, 12, 0, self.RUNS))
+
+    def test_degree_crossover(self):
+        # the wheel on 12 cycle nodes has a hub of degree 12, the next one 13
+        for k, way in ((12, "block"), (13, "plain")):
+            g = _wheel(k)
+            assert max(map(len, g.adjacency)) == k
+            assert montecarlo._sweep_way("node", g) == way, k
+            assert _count_range("node", g, 4, 0, self.RUNS) == _range_oracle_counts("node", g, 4, 0, self.RUNS), k
+
+    def test_link_count_crossover(self):
+        g = generate_er(40, 0.35, 5)
+        for l, way in ((255, "block"), (256, "numpy-start")):
+            sub = _links_of(g, l)
+            assert sub.num_links == l and montecarlo._sweep_way("link", sub) == way
+            assert _count_range("link", sub, 4, 0, self.RUNS) == _range_oracle_counts("link", sub, 4, 0, self.RUNS), l
+
+    @pytest.mark.parametrize("kind", ["node", "link"])
+    @pytest.mark.parametrize("label", ["er:18,0.3", "lattice:5x8"])
+    def test_mid_stream_ranges(self, kind, label):
+        # a worker's share starts anywhere; these cross a draw block boundary
+        g = _BOUNDARY_GRAPHS[label]()
+        for start, stop in ((7, 50), (_DRAW_BLOCK - 20, _DRAW_BLOCK + 13)):
+            assert _count_range(kind, g, 9, start, stop) == _range_oracle_counts(kind, g, 9, start, stop), start
+
+    @pytest.mark.parametrize("kind", ["node", "link"])
+    @pytest.mark.parametrize("label", ["er:18,0.3", "lattice:5x8"])
+    def test_sweeps_in_slices_of_capped_rows(self, monkeypatch, kind, label):
+        # with 200 cells a slice holds 200 // (n + 1) rows, whatever the draw block
+        g = _BOUNDARY_GRAPHS[label]()
+        monkeypatch.setattr(montecarlo, "_BLOCK_CELLS", 200)
+        cap = 200 // (g.num_nodes + 1)
+        kernel = {"node": "_node_block_counts", "link": "_link_block_thresholds"}[kind]
+        rows = []
+        sweep = getattr(montecarlo, kernel)
+
+        def spy(*args):
+            rows.append(len(args[-2] if kind == "node" else args[-1]))
+            return sweep(*args)
+
+        monkeypatch.setattr(montecarlo, kernel, spy)
+        start, stop = _DRAW_BLOCK - 9, _DRAW_BLOCK + 11
+        assert _count_range(kind, g, 2, start, stop) == _range_oracle_counts(kind, g, 2, start, stop)
+        # the 20 runs are one draw block, swept in slices of at most cap rows
+        assert cap > 1 and rows == [min(cap, 20 - i) for i in range(0, 20, cap)]
+
+
+class _InProcessPool:
+    """A stand-in for a fork pool that records its chunks and runs them here."""
+
+    chunks = None
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, chunks):
+        _InProcessPool.chunks = [(at, stop) for *_, at, stop in chunks]
+        return list(itertools.starmap(func, chunks))
+
+
+class TestBlockChunks:
+    """Worker shares of block-swept estimates are whole draw blocks."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "resolve_workers", lambda workers: workers)
+        monkeypatch.setattr(montecarlo.multiprocessing, "get_context",
+                            lambda method: types.SimpleNamespace(Pool=_InProcessPool))
+        monkeypatch.setattr(_InProcessPool, "chunks", None)
+        return _InProcessPool
+
+    @pytest.mark.parametrize("kind", ["node", "link"])
+    def test_lone_chunk_runs_without_a_pool(self, pool, kind):
+        g = generate_er(18, 0.3, 1)
+        estimate = {"node": estimate_node_cut_fractions, "link": estimate_link_cut_fractions}[kind]
+        est = estimate(g, 600, 3, workers=2)
+        assert pool.chunks is None
+        assert est.counts == tuple(_range_oracle_counts(kind, g, 3, 0, 600))
+
+    def test_chunks_are_whole_draw_blocks(self, pool):
+        g, expected = _boundary_oracle_counts("node", "er:18,0.3", TestBlockBoundaryParity.RUNS)
+        runs = TestBlockBoundaryParity.RUNS
+        assert estimate_node_cut_fractions(g, runs, 5, workers=2).counts == expected
+        assert pool.chunks == [(0, _DRAW_BLOCK), (_DRAW_BLOCK, 2 * _DRAW_BLOCK), (2 * _DRAW_BLOCK, runs)]
+        # complete:14 has degree 13, so its node runs keep chunks of runs // (4 * workers)
+        estimate_node_cut_fractions(complete_graph(14), 80, 5, workers=2)
+        assert pool.chunks == [(at, at + 10) for at in range(0, 80, 10)]
