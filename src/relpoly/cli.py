@@ -47,6 +47,11 @@ def _check_size(source: str, num_nodes: int, num_links, expected=False):
         raise CapacityError(f"{source} {count} links, above the limit of {MAX_EDGE_LIST_NODES}")
 
 
+# the most node pairs an er spec may draw for: generate_er makes one draw per
+# pair, and on a 2-vCPU Xeon C(40000, 2) = 8*10^8 pairs took 3.35 s
+MAX_ER_PAIRS = 10**9
+
+
 def _pairs(n: int) -> int:
     """C(n, 2), and 0 for any n below 2."""
     return n * (n - 1) // 2 if n > 0 else 0
@@ -69,7 +74,9 @@ def _parse_gen_spec(spec: str, seed: int) -> Graph:
     A spec of more than MAX_EDGE_LIST_NODES nodes or links is a
     CapacityError, raised before anything is built. The link count is
     exact for ba and lattice, and the mean for er (min(1, PL) C(N,2)) and rgg
-    (min(1, pi R^2) C(N,2), the square's boundary ignored).
+    (min(1, pi R^2) C(N,2), the square's boundary ignored). An er spec
+    within both limits is then refused if its C(N,2) draws exceed
+    MAX_ER_PAIRS.
     """
     # name -> (generator, type of its second parameter, link count, whether that is a mean)
     pairs = {
@@ -84,6 +91,10 @@ def _parse_gen_spec(spec: str, seed: int) -> Graph:
             n_s, x_s = args.split(",")
             n, x = int(n_s), second(x_s)
             _check_size(spec, n, links(n, x), expected)
+            if name == "er" and _pairs(n) > MAX_ER_PAIRS:
+                raise CapacityError(
+                    f"{spec} has C(N,2) = {_pairs(n)} node pairs to draw, above the limit of {MAX_ER_PAIRS}"
+                )
             return generate(n, x, seed)
         if name == "lattice":
             dims = [int(d) for d in args.split("x")]

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import random
 import re
-from bisect import bisect_right
 from functools import partial
-from itertools import chain
 from operator import index
 
 import numpy as np
@@ -60,23 +58,67 @@ def _id_arrays(num_nodes: int, edges):
         raise
 
 
-def _adjacency(num_nodes: int, heads, tails):
-    """Per-node sorted tuples of the neighbours of the links (heads[k], tails[k]).
+def _sorted_keys(num_nodes: int, heads, tails):
+    """The keys u*N+v and v*N+u of the links (heads[k], tails[k]), sorted,
+    repeats kept.
 
     `heads` and `tails` are int64 arrays. A link out of range(num_nodes) or
     a self-loop raises the ValueError of the first such link in input order.
-    Each link gives the keys u*N+v and v*N+u; one sort of all 2L keys drops
-    duplicate and reversed links and puts node u's neighbours in the keys
-    [u*N, (u+1)*N). The tuples hold plain ints. O(N + L log L).
     """
     if ((heads < 0) | (heads >= num_nodes) | (tails < 0) | (tails >= num_nodes) | (heads == tails)).any():
         _check_links(num_nodes, heads.tolist(), tails.tolist())
     keys = np.concatenate((heads * num_nodes + tails, tails * num_nodes + heads))
     keys.sort()  # np.unique hashes first: 4.4 s against 0.05 s for 5M keys (numpy 2.4)
+    return keys
+
+
+def _csr_of_keys(num_nodes: int, keys):
+    """The CSR pair (bounds, nbrs) of the sorted keys u*N+v, repeats
+    dropped: node u's sorted neighbours are nbrs[bounds[u]:bounds[u + 1]]."""
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    bounds = np.searchsorted(keys, np.arange(num_nodes + 1) * num_nodes).tolist()
-    nbrs = (keys % num_nodes).tolist()
-    return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
+    bounds = np.searchsorted(keys, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
+    return bounds.astype(np.int64, copy=False), keys % num_nodes
+
+
+def _adjacency(num_nodes: int, heads, tails):
+    """The CSR pair (bounds, nbrs) of the links (heads[k], tails[k]).
+
+    Checked as in _sorted_keys. One sort of all 2L keys drops duplicate and
+    reversed links and puts node u's neighbours in the keys [u*N, (u+1)*N).
+    O(N + L log L), in numpy alone: no Python object per node or link.
+    """
+    return _csr_of_keys(num_nodes, _sorted_keys(num_nodes, heads, tails))
+
+
+def _label_components(n: int, heads, tails):
+    """Component labels of nodes 0..n-1 under the links (heads[k], tails[k]).
+
+    Each node's label is the smallest id in its component. Each round hooks
+    every root to the smallest root it is linked to (np.minimum.at) and
+    pointer-jumps until every label is a root (Shiloach & Vishkin,
+    J. Algorithms 3(1), 1982).
+    """
+    labels = np.arange(n)
+    lh, lt = heads, tails
+    while True:
+        # lh and lt are roots here, and a root hooked to itself stays put
+        np.minimum.at(labels, np.maximum(lh, lt), np.minimum(lh, lt))
+        while True:
+            jumped = labels[labels]
+            if (jumped == labels).all():
+                break
+            labels = jumped
+        lh, lt = labels[heads], labels[tails]
+        if (lh == lt).all():
+            return labels
+
+
+def _node_ints(num_nodes: int, ids):
+    """The node ids of the int64 array `ids` as a list of plain ints that
+    share one int object per node: tolist alone makes one per entry, 32
+    bytes each, which the adjacency tuples and links would then keep."""
+    nodes = list(range(num_nodes))
+    return list(map(nodes.__getitem__, ids.tolist()))
 
 
 class Graph:
@@ -85,35 +127,45 @@ class Graph:
     `Graph(N, edges)` takes (u, v) pairs of integer ids in range(N), in any
     order and orientation; duplicate and reversed links collapse to one. A
     non-integer id, an id out of range or a self-loop is a ValueError that
-    names the first such link. Neighbours are stored as sorted tuples of
-    plain ints, built by one numpy sort of all links.
+    names the first such link.
+
+    The links are stored once, as a read-only CSR pair of int64 arrays built
+    by one numpy sort of all links: node u's sorted neighbours are
+    nbrs[bounds[u]:bounds[u + 1]]. Degrees, links, connectivity, equality
+    and the edge-list text are read off these arrays. `adjacency`, one
+    tuple of plain ints per node for the sweeps that index it in Python, is
+    built on first use and kept.
     """
 
-    __slots__ = ("_n", "_adj", "_m", "_links", "_ends", "_connected", "_degrees")
+    __slots__ = ("_n", "_bounds", "_nbrs", "_adj", "_links", "_ends", "_connected", "_degrees")
 
     def __init__(self, num_nodes: int, edges=()):
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
         num_nodes = index(num_nodes)
-        self._set_adjacency(num_nodes, _adjacency(num_nodes, *_id_arrays(num_nodes, edges)))
+        self._set_csr(num_nodes, *_adjacency(num_nodes, *_id_arrays(num_nodes, edges)))
 
     @classmethod
-    def _of_adjacency(cls, num_nodes: int, adj) -> "Graph":
-        """A graph with the given per-node sorted neighbour tuples, unchecked."""
+    def _of_csr(cls, num_nodes: int, bounds, nbrs) -> "Graph":
+        """A graph with the given CSR pair of int64 arrays, unchecked."""
         graph = cls.__new__(cls)
-        graph._set_adjacency(num_nodes, adj)
+        graph._set_csr(num_nodes, bounds, nbrs)
         return graph
 
     def __reduce__(self):
-        # only the adjacency goes to worker processes, and the caches are
-        # rebuilt there on demand: sending link_ends too added about 0.4 MB
-        # to the peak RSS of the mc-large benchmark operations
-        return Graph._of_adjacency, (self._n, self._adj)
+        # only the CSR pair goes to worker processes, its ids in the narrowest
+        # dtype that holds them, and the caches are rebuilt there on demand:
+        # sending link_ends too, or the ids as int64, raised the peak RSS of
+        # the mc-large benchmark operations by 0.2-0.4 MB
+        return _graph_of_pickle, (self._n, self._bounds, self._nbrs.astype(np.min_scalar_type(self._n)))
 
-    def _set_adjacency(self, num_nodes: int, adj):
+    def _set_csr(self, num_nodes: int, bounds, nbrs):
+        bounds.flags.writeable = False
+        nbrs.flags.writeable = False
         self._n = num_nodes
-        self._adj = adj
-        self._m = sum(map(len, adj)) // 2
+        self._bounds = bounds
+        self._nbrs = nbrs
+        self._adj = None
         self._links = None
         self._ends = None
         self._connected = None
@@ -122,16 +174,18 @@ class Graph:
     def with_links(self, edges) -> "Graph":
         """A new graph: this one plus `edges`, checked as in `Graph(...)`.
 
-        Links already present collapse as in the constructor. Only the
-        added links are checked and sorted, and only their ends' neighbour
-        tuples are merged, so the cost is O(N) plus the touched nodes' degrees.
+        Links already present collapse as in the constructor. The keys
+        u*N+v of the added links are sorted and merged with this graph's,
+        which are sorted already: O(N + L) plus the sort of the added links.
         """
-        added = _adjacency(self._n, *_id_arrays(self._n, edges))
-        adj = list(self._adj)
-        for v, new in enumerate(added):
-            if new:
-                adj[v] = tuple(sorted(set(adj[v]).union(new)))
-        return Graph._of_adjacency(self._n, tuple(adj))
+        n = self._n
+        keys = np.concatenate((self._heads() * n + self._nbrs, _sorted_keys(n, *_id_arrays(n, edges))))
+        keys.sort(kind="stable")  # two sorted runs: one merge
+        return Graph._of_csr(n, *_csr_of_keys(n, keys))
+
+    def _heads(self):
+        """The node u of each entry nbrs[k], as an int64 array beside nbrs."""
+        return np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._bounds))
 
     @property
     def num_nodes(self) -> int:
@@ -139,21 +193,25 @@ class Graph:
 
     @property
     def num_links(self) -> int:
-        return self._m
+        return self._nbrs.size // 2
 
     @property
     def adjacency(self):
-        """Per-node sorted tuples of neighbor ids."""
+        """Per-node sorted tuples of neighbour ids, built on first use."""
+        if self._adj is None:
+            bounds, nbrs = self._bounds.tolist(), _node_ints(self._n, self._nbrs)
+            self._adj = tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
         return self._adj
 
     def neighbors(self, v: int):
-        return self._adj[v]
+        """Sorted tuple of the neighbour ids of node v."""
+        return tuple(self._nbrs[self._bounds[v] : self._bounds[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self._bounds[v + 1] - self._bounds[v])
 
     def degrees(self):
-        return tuple(len(nb) for nb in self._adj)
+        return tuple(np.diff(self._bounds).tolist())
 
     @property
     def links(self):
@@ -167,39 +225,28 @@ class Graph:
         """links as a read-only (2, L) int64 array, built once per graph:
         link i is (link_ends[0, i], link_ends[1, i])."""
         if self._ends is None:
-            n, adj = self._n, self._adj
-            nbrs = np.fromiter(chain.from_iterable(adj), np.int64, 2 * self._m)
-            heads = np.repeat(np.arange(n, dtype=np.int64), np.fromiter(map(len, adj), np.int64, n))
-            keep = heads < nbrs
-            self._ends = np.stack((heads[keep], nbrs[keep]))
+            heads = self._heads()
+            keep = heads < self._nbrs
+            self._ends = np.stack((heads[keep], self._nbrs[keep]))
             self._ends.flags.writeable = False
         return self._ends
 
     def edges(self):
         """Sorted list of (u, v) pairs with u < v, a new list on every call."""
-        return [(u, v) for u in range(self._n) for v in self._adj[u] if u < v]
+        heads, tails = self.link_ends
+        return list(zip(_node_ints(self._n, heads), _node_ints(self._n, tails)))
 
     def has_link(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return bool((self._nbrs[self._bounds[u] : self._bounds[u + 1]] == v).any())
 
     def is_connected(self) -> bool:
         """Whole-graph connectivity (cached). Empty graph counts as disconnected.
 
-        One iterative traversal from node 0 with a bytearray of seen flags,
-        O(N + L): connected iff it reaches all N nodes.
+        One numpy labelling of the links' components (_label_components):
+        connected iff every node has node 0's label.
         """
-        if self._connected is None and self._n == 0:
-            self._connected = False
-        elif self._connected is None:
-            adj, seen, stack, reached = self._adj, bytearray(self._n), [0], 1
-            seen[0] = 1
-            while stack:
-                for u in adj[stack.pop()]:
-                    if not seen[u]:
-                        seen[u] = 1
-                        reached += 1
-                        stack.append(u)
-            self._connected = reached == self._n
+        if self._connected is None:
+            self._connected = self._n > 0 and not _label_components(self._n, *self.link_ends).any()
         return self._connected
 
     def degree_distribution(self) -> "DegreeDistribution":
@@ -209,13 +256,23 @@ class Graph:
         return self._degrees
 
     def __repr__(self):
-        return f"Graph(N={self._n}, L={self._m})"
+        return f"Graph(N={self._n}, L={self.num_links})"
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self._adj == other._adj
+        return (
+            isinstance(other, Graph)
+            and self._n == other._n
+            and np.array_equal(self._bounds, other._bounds)
+            and np.array_equal(self._nbrs, other._nbrs)
+        )
 
     def __hash__(self):
-        return hash(self._adj)
+        return hash((self._n, self._nbrs.tobytes(), self._bounds.tobytes()))
+
+
+def _graph_of_pickle(num_nodes: int, bounds, nbrs) -> Graph:
+    """The graph that Graph.__reduce__ sent, its ids back in int64."""
+    return Graph._of_csr(num_nodes, bounds, nbrs.astype(np.int64))
 
 
 class DegreeDistribution:
@@ -256,7 +313,7 @@ class DegreeDistribution:
 def degree_distribution(graph: Graph) -> DegreeDistribution:
     if graph.num_nodes == 0:
         raise ValueError("degree distribution of an empty graph is undefined")
-    counts = np.bincount(np.fromiter(map(len, graph.adjacency), np.int64, graph.num_nodes))
+    counts = np.bincount(np.diff(graph._bounds))
     degrees = np.flatnonzero(counts)
     return DegreeDistribution(dict(zip(degrees.tolist(), counts[degrees].tolist())), graph.num_nodes)
 
@@ -271,8 +328,8 @@ def degree_distribution(graph: Graph) -> DegreeDistribution:
 # rejects would match with fewer digits or lines.
 _SAVED_FORM = re.compile(r"(?:# nodes ([0-9]{1,18}+)\n)?((?:[0-9]{1,18}+ [0-9]{1,18}+\n)*+)")
 _NODES_LINE = re.compile(r"#\s*nodes\s+([0-9]+)")
-# the most nodes an edge list may name: an empty graph of N nodes costs
-# about 30 bytes per node, so this bounds what a short file can allocate
+# the most nodes an edge list may name: an empty graph of N nodes allocates
+# about 16 bytes per node, so this bounds what a short file can allocate
 MAX_EDGE_LIST_NODES = 10**7
 
 
@@ -300,7 +357,7 @@ def load_edge_list(text: str) -> Graph:
         # above the node limit, a self-loop or an id of N or more: the loop names the line
         if n <= MAX_EDGE_LIST_NODES:
             try:
-                return Graph._of_adjacency(n, _adjacency(n, ids[0::2], ids[1::2]))
+                return Graph._of_csr(n, *_adjacency(n, ids[0::2], ids[1::2]))
             except ValueError:
                 pass
     edges = []
@@ -354,12 +411,11 @@ def save_edge_list(graph: Graph) -> str:
     that `load_edge_list` gives back every node, trailing isolated ones too.
     """
     n = graph.num_nodes
-    lines = [f"# nodes {n}\n"] if n and not graph.degree(n - 1) else []
-    # one format per node over its later neighbours: no (u, v) tuple per link
-    for u, nbrs in enumerate(graph.adjacency):
-        later = nbrs[bisect_right(nbrs, u):]
-        lines.append(f"{u} %d\n" * len(later) % later)
-    return "".join(lines)
+    heads, tails = graph.link_ends
+    # one "u %d" line per link of node u, all filled by a single format:
+    # no (u, v) tuple per link
+    lines = "".join([f"{u} %d\n" * k for u, k in enumerate(np.bincount(heads, minlength=n).tolist())])
+    return (f"# nodes {n}\n" if n and not graph.degree(n - 1) else "") + lines % tuple(tails.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +467,7 @@ def _block_pairs(first, block_cum, shift, offsets=None):
 def _graph_of_keys(num_nodes: int, keys) -> Graph:
     """Graph linking the pairs divmod(key, N) of `keys`, a list of key arrays."""
     heads, tails = np.divmod(np.concatenate([np.empty(0, dtype=np.int64)] + keys), num_nodes)
-    return Graph._of_adjacency(num_nodes, _adjacency(num_nodes, heads, tails))
+    return Graph._of_csr(num_nodes, *_adjacency(num_nodes, heads, tails))
 
 
 def generate_er(num_nodes: int, link_probability: float, seed: int) -> Graph:
@@ -517,7 +573,7 @@ def generate_lattice(dims) -> Graph:
     # each node to its successor along each axis
     heads = np.concatenate([ids.take(range(d - 1), axis=axis).ravel() for axis, d in enumerate(dims)])
     tails = np.concatenate([ids.take(range(1, d), axis=axis).ravel() for axis, d in enumerate(dims)])
-    return Graph._of_adjacency(ids.size, _adjacency(ids.size, heads, tails))
+    return Graph._of_csr(ids.size, *_adjacency(ids.size, heads, tails))
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def _greedy_addition(graph: Graph, k: int, descending: bool):
 
     def neighbours(w):
         if w not in linked:
-            linked[w] = set(graph.adjacency[w])
+            linked[w] = set(graph.neighbors(w))
         return linked[w]
 
     added = []

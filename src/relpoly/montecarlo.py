@@ -65,7 +65,7 @@ import numpy as np
 
 from .curve import Curve, _check_probability
 from .exact import ReliabilityCoefficients, bernstein_mixture, _clamp01
-from .graph import _MASK64, Graph
+from .graph import _MASK64, Graph, _label_components
 
 # removal orders are drawn _DRAW_BLOCK runs at a time. Below this size they
 # come from a SplitMix64 Fisher-Yates shuffle, all in numpy (see
@@ -419,29 +419,6 @@ def _node_run(adj, ends, perm, out, suffix):
     )
 
 
-def _label_components(n: int, heads, tails):
-    """Component labels of nodes 0..n-1 under the links (heads[k], tails[k]).
-
-    Each node's label is the smallest id in its component. Each round hooks
-    every root to the smallest root it is linked to (np.minimum.at) and
-    pointer-jumps until every label is a root (Shiloach & Vishkin,
-    J. Algorithms 3(1), 1982).
-    """
-    labels = np.arange(n)
-    lh, lt = heads, tails
-    while True:
-        # lh and lt are roots here, and a root hooked to itself stays put
-        np.minimum.at(labels, np.maximum(lh, lt), np.minimum(lh, lt))
-        while True:
-            jumped = labels[labels]
-            if (jumped == labels).all():
-                break
-            labels = jumped
-        lh, lt = labels[heads], labels[tails]
-        if (lh == lt).all():
-            return labels
-
-
 def _link_connection_threshold(edges, perm, start: int, parent, size, ncomp: int) -> int:
     """Largest j whose residual keeps all N nodes connected, or -1 if none does.
 
@@ -640,7 +617,7 @@ def _sweep_way(kind: str, graph: Graph) -> str:
         return "numpy-start" if l >= _LABEL_MIN_LINKS else "block"
     if n >= _NODE_SHORTCUT_MIN_NODES:
         return "numpy-start" if 2 * l <= _NODE_SHORTCUT_MAX_MEAN_DEGREE * n else "plain"
-    return "block" if max(map(len, graph.adjacency), default=0) <= _BLOCK_MAX_DEGREE else "plain"
+    return "block" if max(graph.degrees(), default=0) <= _BLOCK_MAX_DEGREE else "plain"
 
 
 def _check_order(order, size: int, what: str):

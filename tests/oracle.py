@@ -434,8 +434,10 @@ def set_adjacency(num_nodes: int, edges):
 
 
 def set_graph(num_nodes: int, edges):
-    """Graph whose adjacency comes from set_adjacency, not the library's builder."""
-    return Graph._of_adjacency(num_nodes, set_adjacency(num_nodes, edges))
+    """Graph whose CSR arrays come from set_adjacency, not the library's builder."""
+    adj = set_adjacency(num_nodes, edges)
+    bounds = np.cumsum([0, *map(len, adj)], dtype=np.int64)
+    return Graph._of_csr(num_nodes, bounds, np.array([v for nbrs in adj for v in nbrs], dtype=np.int64))
 
 
 def triu_er(num_nodes: int, link_probability: float, seed: int):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import brute_cut_counts, brute_link_kept_counts
-from relpoly import Curve, cutset, exact, generate_lattice, load_edge_list, montecarlo, save_edge_list
+from relpoly import Curve, Graph, cutset, exact, generate_lattice, load_edge_list, montecarlo, save_edge_list
 from relpoly.cli import _load_graph, build_parser, main
 from relpoly.graph import FAMILIES
 
@@ -400,6 +400,28 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err == f"error: {message}, above the limit of 10000000\n"
+
+    @pytest.mark.parametrize("spec, pairs", [
+        ("er:1000000,0.000005", 499999500000),
+        ("er:44722,0.0001", 1000006281),
+    ], ids=["mean-degree-5", "just-above"])
+    def test_er_above_pair_limit(self, tmp_path, capsys, spec, pairs):
+        # within the node and link limits, but one draw per pair would take
+        # seconds to over half an hour: refused before any draw
+        out = tmp_path / "g.edges"
+        start = time.perf_counter()
+        assert run_cli(["generate", "--gen", spec, "--out", out]) == 1
+        assert time.perf_counter() - start < 1.0 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {spec} has C(N,2) = {pairs} node pairs to draw, above the limit of 1000000000\n"
+        )
+
+    def test_er_at_pair_limit_is_built(self, monkeypatch):
+        # C(44721, 2) = 999961560 pairs pass; the generator is not run here
+        built = []
+        monkeypatch.setattr("relpoly.cli.generate_er", lambda *args: built.append(args) or Graph(2, [(0, 1)]))
+        assert run_cli(["approx", "stochastic", "--gen", "er:44721,0.0001"]) == 0
+        assert built == [(44721, 0.0001, 0)]
 
     @pytest.mark.parametrize("source", [
         ["--gen", "ba:30,3"], ["--gen", "ba:5,4"], ["--gen", "lattice:4x5"], ["--gen", "lattice:1x7"],

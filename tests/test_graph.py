@@ -24,9 +24,13 @@ from relpoly import (
     save_edge_list,
     star_graph,
 )
+from relpoly import ConnectivityWarning, approx, kgrip
 from relpoly import graph as graph_module
 from relpoly.graph import FAMILIES, _row_blocks
 from oracle import naive_connected, set_adjacency, set_graph, triu_er, triu_rgg, union_find_component_count
+
+
+_GRID = tuple(k / 20 for k in range(21))
 
 
 class TestGraphBasics:
@@ -74,17 +78,17 @@ class TestGraphBasics:
         assert g.edges() is not edges
         assert len(g.edges()) == g.num_links == len(g.links)
 
-    @pytest.mark.parametrize("g", [
-        cycle_graph(5), Graph(0), Graph(3), Graph(6, [(4, 1), (0, 5), (2, 1)]), generate_er(300, 0.05, 2),
+    @pytest.mark.parametrize("n, links", [
+        (5, [(1, 0), (1, 2), (3, 2), (4, 3), (0, 4)]), (0, []), (3, []), (6, [(4, 1), (0, 5), (2, 1)]),
+        (300, [(v, u) for u, v in generate_er(300, 0.05, 2).edges()][::-1]),
     ], ids=["cycle:5", "empty", "no-links", "isolated", "er:300"])
-    def test_link_ends_built_once_read_only_and_equal_to_links(self, g, monkeypatch):
-        built = []
-        fromiter = np.fromiter
-        monkeypatch.setattr(np, "fromiter", lambda *a, **k: built.append(1) or fromiter(*a, **k))
+    def test_link_ends_built_once_read_only_and_equal_to_links(self, n, links):
+        g = Graph(n, links)
+        assert g._ends is None  # built on first use
         ends = g.link_ends
-        assert g.link_ends is ends and len(built) == 2  # neighbours and degrees, once
+        assert g.link_ends is ends and g._adj is None  # once, and with no per-node tuple
         assert ends.dtype == np.int64 and ends.shape == (2, g.num_links)
-        assert list(zip(*ends.tolist())) == list(g.links)
+        assert list(zip(*ends.tolist())) == sorted({(min(u, v), max(u, v)) for u, v in links}) == list(g.links)
         assert not ends.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             ends[0, 0:1] = 0
@@ -92,14 +96,18 @@ class TestGraphBasics:
     def test_pickle_sends_the_adjacency_only(self):
         # worker processes get the graph this way and rebuild the caches
         g = generate_er(200, 0.05, 4)
-        ends, links, connected = g.link_ends, g.links, g.is_connected()
+        ends, links, connected, adjacency = g.link_ends, g.links, g.is_connected(), g.adjacency
         data = pickle.dumps(g)
-        assert len(data) < len(pickle.dumps((g.adjacency, ends)))
+        # the ids go as uint8 here, so the graph pickles smaller than its arrays
+        assert len(data) < len(pickle.dumps((g._bounds, g._nbrs)))
         h = pickle.loads(data)
+        assert h._bounds.dtype == h._nbrs.dtype == np.int64
+        assert h._adj is None and h._ends is None and h._links is None and h._connected is None
         assert h == g and h.num_nodes == 200 and h.num_links == g.num_links
-        assert h.links == links and h.is_connected() == connected
+        assert h.links == links and h.is_connected() == connected and h.adjacency == adjacency
         assert h.link_ends is h.link_ends and not h.link_ends.flags.writeable
         assert np.array_equal(h.link_ends, ends)
+        assert not h._bounds.flags.writeable and not h._nbrs.flags.writeable
 
 
 class TestWithLinks:
@@ -172,7 +180,34 @@ class TestAdjacencyBuilder:
         assert Graph(n, [(np.int64(u), np.uint16(v)) for u, v in mixed]).adjacency == expected
         heads = np.array([u for u, _ in mixed], dtype=np.int64)
         tails = np.array([v for _, v in mixed], dtype=np.int64)
-        assert graph_module._adjacency(n, heads, tails) == expected
+        bounds, nbrs = graph_module._adjacency(n, heads, tails)
+        assert bounds.dtype == nbrs.dtype == np.int64 and bounds.shape == (n + 1,)
+        assert tuple(tuple(nbrs[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:])) == expected
+        # every reader of the arrays agrees with the oracle's tuples
+        assert g.degrees() == tuple(map(len, expected)) and g.num_links == sum(map(len, expected)) // 2
+        assert all(g.neighbors(v) == nbrs_v and g.degree(v) == len(nbrs_v) for v, nbrs_v in enumerate(expected))
+        assert g.edges() == [(u, v) for u, nbrs_u in enumerate(expected) for v in nbrs_u if u < v]
+        assert all(g.has_link(u, v) and g.has_link(v, u) for u, v in links)
+        assert not any(g.has_link(u, v) for u in range(min(n, 12)) for v in range(min(n, 12))
+                       if v not in expected[u])
+
+    @pytest.mark.parametrize("n, links", _builder_corpus())
+    def test_equality_hash_and_pickle(self, n, links):
+        g = Graph(n, links[::-1])
+        oracle = set_graph(n, links)
+        assert g == oracle and hash(g) == hash(oracle)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g) and back.num_nodes == n and back.adjacency == oracle.adjacency
+        # one more trailing isolated node, or one link fewer, is another graph
+        assert g != Graph(n + 1, links) and g != oracle.adjacency
+        if links:
+            assert g != Graph(n, links[1:])
+
+    @pytest.mark.parametrize("n, links", _builder_corpus())
+    def test_with_links_equal_to_set_oracle(self, n, links):
+        half = len(links) // 2
+        g = Graph(n, links[:half]).with_links([(v, u) for u, v in links[half // 2:]])
+        assert g == set_graph(n, links) and g.num_links == len({frozenset(link) for link in links})
 
     @pytest.mark.parametrize("dims", _LATTICE_DIMS, ids=lambda dims: "x".join(map(str, dims)))
     def test_lattice_equal_to_set_oracle(self, dims):
@@ -388,6 +423,38 @@ class TestIsConnected:
         g = Graph(n, links)
         assert g.is_connected() == naive_connected(g, range(n))
 
+    @pytest.mark.parametrize("n, links", [
+        (0, []), (1, []), (2, []), (7, []),
+        (9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)]),
+        (8, [(0, 7), (7, 2), (2, 5), (1, 6), (6, 3), (3, 4)]),
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 0)]),
+    ], ids=["N0", "N1", "two-isolated", "all-isolated", "path-and-cycle", "interleaved-ids", "two-triangles"])
+    def test_small_cases_against_oracles(self, n, links):
+        import networkx as nx
+
+        g = Graph(n, links)
+        assert g.is_connected() == naive_connected(set_graph(n, links), range(n)) == (n == 1)
+        if n:  # networkx has no connectivity for the null graph
+            full = nx.Graph()
+            full.add_nodes_from(range(n))
+            full.add_edges_from(links)
+            assert g.is_connected() == nx.is_connected(full)
+
+    def test_random_sparse_er_against_networkx(self):
+        import networkx as nx
+
+        rng = np.random.Generator(np.random.PCG64(23))
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(10, 400))
+            g = generate_er(n, float(rng.uniform(0.5, 4.0)) * math.log(n) / n, int(rng.integers(1 << 32)))
+            full = nx.Graph()
+            full.add_nodes_from(range(n))
+            full.add_edges_from(g.edges())
+            seen.add(g.is_connected())
+            assert g.is_connected() == nx.is_connected(full) == naive_connected(g, range(n))
+        assert seen == {False, True}
+
     def test_agrees_with_union_find(self):
         rng = np.random.Generator(np.random.PCG64(17))
         for _ in range(100):
@@ -395,6 +462,34 @@ class TestIsConnected:
             g = generate_er(n, float(rng.uniform(0.0, 0.5)), int(rng.integers(1 << 32)))
             by_union_find = union_find_component_count(g) == 1
             assert g.is_connected() == by_union_find
+
+
+class TestDegreeOperationsBuildNoTuples:
+    """The degree-based operations read the CSR arrays alone."""
+
+    def test_load_approx_kgrip_save_and_connectivity(self):
+        n = 600
+        pl = 1.5 * math.log(n) / n
+        sources = [generate_er(n, pl, 1), generate_rgg(n, math.sqrt(pl / math.pi), 1)]
+        graphs = []
+        for source in sources:
+            text = save_edge_list(source)
+            g = load_edge_list(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConnectivityWarning)
+                approx.stochastic_node_curve(g, _GRID)
+                approx.stochastic_link_curve(g, _GRID)
+            [approx.arithmetic_upper_bound(g, p) for p in _GRID]
+            [approx.geometric_upper_bound(g, p) for p in _GRID]
+            plans = [kgrip.greedy_lowest_degree_addition(g, 20), kgrip.random_pairing_addition(g, 20, 7),
+                     kgrip.highest_degree_addition(g, 20)]
+            for new, _ in plans:
+                kgrip.objective(new, 0.5)
+                save_edge_list(new)
+                new.is_connected()
+            assert save_edge_list(g) == text and g == source and g.is_connected() == source.is_connected()
+            graphs += [source, g] + [new for new, _ in plans]
+        assert all(h._adj is None for h in graphs)
 
 
 class TestGenerators:
