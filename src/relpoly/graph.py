@@ -153,10 +153,10 @@ class Graph:
         return graph
 
     def __reduce__(self):
-        # only the CSR pair goes to worker processes, its ids in the narrowest
-        # dtype that holds them, and the caches are rebuilt there on demand:
-        # sending link_ends too, or the ids as int64, raised the peak RSS of
-        # the mc-large benchmark operations by 0.2-0.4 MB
+        # only the CSR pair is pickled, its ids in the narrowest dtype that
+        # holds them, and the caches are rebuilt on demand. Monte Carlo no
+        # longer pickles graphs: its forked workers inherit them, caches
+        # and all, so this serves library callers that pickle a graph
         return _graph_of_pickle, (self._n, self._bounds, self._nbrs.astype(np.min_scalar_type(self._n)))
 
     def _set_csr(self, num_nodes: int, bounds, nbrs):

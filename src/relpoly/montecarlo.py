@@ -45,19 +45,28 @@ Runs are seeded individually by mixing the root seed with the run index,
 so results do not depend on how runs are split across worker processes.
 Removal orders are drawn _DRAW_BLOCK runs at a time from those same
 per-run streams, so the orders do not depend on where a block or a
-worker's share begins. Orders of fewer than _SMALL_PERMUTATION elements are
-shuffled in numpy for the whole block. Larger ones come from numpy's PCG64
-generator, one per run; only its seeding hash, which costs more than a
-mid-size shuffle, is computed in numpy for the whole block.
+worker's share begins. Orders of fewer than _SMALL_PERMUTATION elements
+are shuffled in numpy for the whole block. Larger ones come from numpy's
+PCG64 generator, one per run; only its seeding hash, which costs more than
+a mid-size shuffle, is computed in numpy for the whole block.
+
+With w workers the runs are split into contiguous shares of
+ceil(runs / w) runs, rounded up to whole draw blocks where runs are swept
+a block at a time. The calling process sweeps the first share itself and
+forks one child for each other share; a child inherits the graph and its
+caches, and sends back only its counts. A lone share forks nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import multiprocessing
 import operator
 import os
+import sys
+import traceback
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -411,34 +420,39 @@ def _node_run(adj, ends, perm, out, suffix):
         return
     labels = _label_components(n, *ends.compress(np.minimum(ph, pt) >= t0, axis=1))
     # each of the t0 removed nodes is a root of its own; the other roots are
-    # the residual's components
+    # the residual's components. The sweep indexes the arrays through
+    # memoryviews, which read and write plain ints and bools with no
+    # N-element list copy of each
     _node_sweep(
-        adj, perm[: t0 + 1].tolist(), t0 - 1, (pos >= t0).tolist(), labels.tolist(),
-        np.bincount(labels, minlength=n).tolist(), int(np.count_nonzero(labels == at)) - t0,
+        adj, memoryview(perm[: t0 + 1]), t0 - 1, memoryview(pos >= t0), memoryview(labels),
+        memoryview(np.bincount(labels, minlength=n)), int(np.count_nonzero(labels == at)) - t0,
         out, np.flatnonzero(alone[perm[:t0]]).tolist(),
     )
 
 
-def _link_connection_threshold(edges, perm, start: int, parent, size, ncomp: int) -> int:
+def _link_connection_threshold(ends, perm, start: int, parent, size, ncomp: int) -> int:
     """Largest j whose residual keeps all N nodes connected, or -1 if none does.
 
-    Links are inserted from perm[start] down to perm[0] into the union-find
-    state (parent, size, ncomp), which holds the links perm[start + 1:]. The
-    state may come from anywhere: the answer depends only on its partition.
-    Removing fewer links only adds links back, so every j at or below the
-    returned value leaves a connected residual and every j above it a
-    disconnected one; the sweep stops at the first insertion that connects
-    all nodes.
+    ends is a pair (heads, tails) of sequences over the link ids, here
+    memoryviews of graph.link_ends' rows: link e joins heads[e] and
+    tails[e]. Links are inserted from perm[start] down to perm[0] into the
+    union-find state (parent, size, ncomp), which holds the links
+    perm[start + 1:]. The state may come from anywhere: the answer depends
+    only on its partition. Removing fewer links only adds links back, so
+    every j at or below the returned value leaves a connected residual and
+    every j above it a disconnected one; the sweep stops at the first
+    insertion that connects all nodes.
     """
     if ncomp == 1:
         return start + 1
+    heads, tails = ends
     for t in range(start, -1, -1):
-        u, v = edges[perm[t]]
-        x = u
+        e = perm[t]
+        x = heads[e]
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
-        y = v
+        y = tails[e]
         while parent[y] != y:
             parent[y] = parent[parent[y]]
             y = parent[y]
@@ -453,21 +467,21 @@ def _link_connection_threshold(edges, perm, start: int, parent, size, ncomp: int
     return -1
 
 
-def _link_threshold(edges, ends, n: int, perm) -> int:
-    """_link_connection_threshold of a whole removal order.
+def _link_threshold(ends, n: int, perm, start_late: bool) -> int:
+    """_link_connection_threshold of a whole removal order; ends is graph.link_ends.
 
-    ends is graph.link_ends on the "numpy-start" way (see _sweep_way) and
-    None otherwise. When it is None, perm is a list and
-    the sweep starts from N single nodes. Otherwise perm is an array, and
-    the sweep starts at the isolation bound t_iso: the smallest, over nodes,
-    of the last removal position among a node's links. After t_iso + 1
-    removals that node has no link left, so the threshold is at most t_iso.
-    The components of the links perm[t_iso:] are labelled in numpy. One
-    component gives the threshold t_iso; otherwise the labels seed the
-    union-find sweep from t_iso - 1.
+    start_late is set on the "numpy-start" way (see _sweep_way). Without
+    it, perm is a list and the sweep starts from N single nodes. With it,
+    perm is an array, and the sweep starts at the isolation bound t_iso:
+    the smallest, over nodes, of the last removal position among a node's
+    links. After t_iso + 1 removals that node has no link left, so the
+    threshold is at most t_iso. The components of the links perm[t_iso:]
+    are labelled in numpy. One component gives the threshold t_iso;
+    otherwise the labels seed the union-find sweep from t_iso - 1.
     """
-    if ends is None:
-        return _link_connection_threshold(edges, perm, len(edges) - 1, list(range(n)), [1] * n, n)
+    rows = tuple(map(memoryview, ends))  # link e's end nodes, read as plain ints
+    if not start_late:
+        return _link_connection_threshold(rows, perm, len(perm) - 1, list(range(n)), [1] * n, n)
     heads, tails = np.take(ends, perm, axis=1)
     last = np.full(n, -1)
     at = np.arange(len(perm))
@@ -482,7 +496,7 @@ def _link_threshold(edges, ends, n: int, perm) -> int:
         return t_iso
     ncomp = int(np.count_nonzero(labels == np.arange(n)))
     return _link_connection_threshold(
-        edges, perm[:t_iso].tolist(), t_iso - 1, labels.tolist(),
+        rows, perm[:t_iso].tolist(), t_iso - 1, labels.tolist(),
         np.bincount(labels, minlength=n).tolist(), ncomp,
     )
 
@@ -661,8 +675,8 @@ def link_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..L removed links, nodes always present."""
     l = graph.num_links
     order = _check_order(removal_order, l, "link")
-    ends = graph.link_ends if _sweep_way("link", graph) == "numpy-start" else None
-    last = _link_threshold(graph.links, ends, graph.num_nodes, order.tolist() if ends is None else order)
+    late = _sweep_way("link", graph) == "numpy-start"
+    last = _link_threshold(graph.link_ends, graph.num_nodes, order if late else order.tolist(), late)
     return [False] * (last + 1) + [True] * (l - last)
 
 
@@ -692,10 +706,87 @@ def _count_range(kind: str, graph: Graph, seed: int, start: int, stop: int) -> l
             return _node_counts(graph, ends, orders)
         runs = [0] * (l + 2)
         for perm in orders:
-            runs[_link_threshold(graph.links, ends, n, perm) + 1] += 1
+            runs[_link_threshold(ends, n, perm, True) + 1] += 1
     # runs[k] counts the runs whose threshold is k - 1; a run is disconnected
     # at every j above its threshold, so the counts are the prefix sums
     return list(itertools.accumulate(runs[: l + 1]))
+
+
+def _shares(runs: int, w: int, block: bool) -> list:
+    """The (start, stop) run ranges of at most w workers: contiguous, of
+    ceil(runs / w) runs each, rounded up to whole draw blocks if `block`,
+    since a lockstep sweep cut short of a draw block loses most of its gain."""
+    share = -(-runs // w)
+    if block:
+        share = -(-share // _DRAW_BLOCK) * _DRAW_BLOCK
+    return [(at, min(at + share, runs)) for at in range(0, runs, share)]
+
+
+def _send_counts(sender, kind: str, graph: Graph, seed: int, start: int, stop: int):
+    """A forked worker's task: send the caller the counts of runs
+    start..stop-1, or the exception that stopped them with its traceback
+    as text, which does not pickle."""
+    try:
+        result = _count_range(kind, graph, seed, start, stop)
+    except Exception as exc:
+        result = (exc, traceback.format_exc())
+    sender.send(result)
+
+
+def _forked_counts(kind: str, graph: Graph, seed: int, shares, way: str) -> list:
+    """The summed counts of the shares: the caller sweeps the first, one
+    forked child each of the others; way is _sweep_way(kind, graph).
+
+    A child inherits the graph and its caches and sends only its counts back
+    through a one-way pipe. Every child is joined before this returns or
+    raises; on an error the ones still running are stopped first.
+    """
+    # the caches the sweeps read, built once here for every child to inherit
+    if kind == "node":
+        graph.adjacency
+    if kind == "link" or way == "numpy-start":
+        graph.link_ends
+    # a child flushes the std streams as it exits, so it must inherit no
+    # buffered output, or that output is written twice. multiprocessing's
+    # fork start flushes them too, but does not document it
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, ValueError):  # None or closed
+            stream.flush()
+    context = multiprocessing.get_context("fork")
+    children, receivers = [], []
+    try:
+        for start, stop in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            receivers.append(receiver)
+            try:
+                child = context.Process(target=_send_counts, args=(sender, kind, graph, seed, start, stop))
+                child.start()
+            finally:
+                sender.close()  # the child's copy is the only one left: its exit ends the pipe
+            children.append(child)
+        counts = _count_range(kind, graph, seed, *shares[0])
+        for child, receiver in zip(children, receivers):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"a Monte Carlo worker process exited with code {child.exitcode} before sending its counts"
+                ) from None
+            if isinstance(result, tuple):
+                exc, trace = result
+                raise exc from ChildProcessError(f"in a Monte Carlo worker process:\n{trace}")
+            counts = list(map(operator.add, counts, result))
+        return counts
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for receiver in receivers:
+            receiver.close()
 
 
 def _estimate(graph: Graph, kind: str, runs: int, seed: int, workers) -> CutFractionEstimate:
@@ -709,19 +800,13 @@ def _estimate(graph: Graph, kind: str, runs: int, seed: int, workers) -> CutFrac
     if kind == "link" and not graph.is_connected():
         # no removal connects a disconnected graph: every threshold is -1
         counts = [runs] * (l + 1)
-    elif w <= 1 or runs < 4 * w:
-        counts = _count_range(kind, graph, seed, 0, runs)
     else:
-        step = max(1, runs // (w * 4))
-        if _sweep_way(kind, graph) == "block":
-            # a lockstep sweep cut short of a whole draw block loses most of its gain
-            step = -(-step // _DRAW_BLOCK) * _DRAW_BLOCK
-        chunks = [(kind, graph, seed, at, min(at + step, runs)) for at in range(0, runs, step)]
-        if len(chunks) == 1:
-            counts = _count_range(*chunks[0])
+        way = _sweep_way(kind, graph)
+        shares = _shares(runs, w, way == "block")
+        if len(shares) == 1:
+            counts = _count_range(kind, graph, seed, 0, runs)
         else:
-            with multiprocessing.get_context("fork").Pool(w) as pool:
-                counts = [sum(column) for column in zip(*pool.starmap(_count_range, chunks))]
+            counts = _forked_counts(kind, graph, seed, shares, way)
     return CutFractionEstimate(kind, dim, tuple(counts), runs, seed)
 
 

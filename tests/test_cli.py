@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import multiprocessing
 import time
 import tracemalloc
 from fractions import Fraction
@@ -383,6 +384,24 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: out of memory; the input is too large for the memory available\n"
+
+    def test_out_of_memory_in_a_worker_process(self, monkeypatch, capsys):
+        # the forked child that sweeps runs 20..39 runs out of memory; the
+        # caller re-raises its MemoryError
+        count_range = montecarlo._count_range
+
+        def short_of_memory(kind, graph, seed, start, stop):
+            if start:
+                raise MemoryError
+            return count_range(kind, graph, seed, start, stop)
+
+        monkeypatch.setattr(montecarlo, "resolve_workers", lambda workers: workers)
+        monkeypatch.setattr(montecarlo, "_count_range", short_of_memory)
+        assert run_cli(["mc", "--family", "complete", "--n", 14, "--runs", 40, "--workers", 2]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory; the input is too large for the memory available\n"
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("source, message", [
         (["--gen", "er:100000,0.5"], "er:100000,0.5 expects about 2499975000 links"),

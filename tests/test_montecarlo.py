@@ -1,8 +1,13 @@
 import collections
+import contextlib
 import functools
 import itertools
 import math
-import types
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -237,7 +242,8 @@ class TestSweepsEqualOracle:
     @pytest.mark.parametrize("g", [generate_er(20, 0.2, 11), generate_er(45, 0.08, 12)],
                              ids=["er:20", "er:45"])
     def test_estimates_equal_oracle_counts(self, g, workers):
-        # 120 runs are enough for two workers to split them over a pool
+        # these runs are swept a block at a time, so two workers' shares of
+        # whole draw blocks leave one share: TestForkedShares forks
         node, link = _oracle_counts(g, 31, 120)
         assert estimate_node_cut_fractions(g, 120, 31, workers).counts == tuple(node)
         assert estimate_link_cut_fractions(g, 120, 31, workers).counts == tuple(link)
@@ -305,10 +311,10 @@ class TestLinkLabellingEqualsOracle:
         fallbacks = {}
         kernel = montecarlo._link_connection_threshold
 
-        def spy(edges, perm, start, parent, size, ncomp):
+        def spy(ends, perm, start, parent, size, ncomp):
             fallbacks[label] += 1
-            assert ncomp > 1 and start < len(edges) - 1
-            return kernel(edges, perm, start, parent, size, ncomp)
+            assert ncomp > 1 and start < len(ends[0]) - 1
+            return kernel(ends, perm, start, parent, size, ncomp)
 
         monkeypatch.setattr(montecarlo, "_link_connection_threshold", spy)
         for label, g in LABELLED_GRAPHS[:-1]:
@@ -700,7 +706,8 @@ class TestBlockSweeps:
             if montecarlo._sweep_way("link", g) != "block" or not l:
                 continue
             perms = rng.permuted(np.tile(np.arange(l), (self.RUNS, 1)), axis=1)
-            expected = [montecarlo._link_connection_threshold(g.links, perm, l - 1, list(range(n)), [1] * n, n)
+            rows = tuple(map(memoryview, g.link_ends))
+            expected = [montecarlo._link_connection_threshold(rows, perm, l - 1, list(range(n)), [1] * n, n)
                         for perm in perms.tolist()]
             assert montecarlo._link_block_thresholds(g.link_ends, n, perms).tolist() == expected, label
 
@@ -781,49 +788,192 @@ class TestBlockSweeps:
         assert cap > 1 and rows == [min(cap, 20 - i) for i in range(0, 20, cap)]
 
 
-class _InProcessPool:
-    """A stand-in for a fork pool that records its chunks and runs them here."""
+class _InProcessFork:
+    """A stand-in for the fork context: a child's task runs here as it
+    starts. The fixture below records the share of every child in
+    `children` and every share swept, the caller's too, in `swept`."""
 
-    chunks = None
+    children = None
+    swept = None
+    Pipe = staticmethod(multiprocessing.Pipe)
 
-    def __init__(self, workers):
-        pass
+    class Process:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+        def start(self):
+            _InProcessFork.children.append(self.args[-2:])
+            self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+        def terminate(self):
+            pass
 
-    def starmap(self, func, chunks):
-        _InProcessPool.chunks = [(at, stop) for *_, at, stop in chunks]
-        return list(itertools.starmap(func, chunks))
+        def join(self):
+            pass
 
 
 class TestBlockChunks:
-    """Worker shares of block-swept estimates are whole draw blocks."""
+    """Estimates split into contiguous shares of ceil(runs / workers) runs,
+    rounded up to whole draw blocks where runs are swept a block at a time;
+    the caller sweeps the first share after starting a child for each other."""
 
     @pytest.fixture
-    def pool(self, monkeypatch):
+    def fork(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "resolve_workers", lambda workers: workers)
-        monkeypatch.setattr(montecarlo.multiprocessing, "get_context",
-                            lambda method: types.SimpleNamespace(Pool=_InProcessPool))
-        monkeypatch.setattr(_InProcessPool, "chunks", None)
-        return _InProcessPool
+        monkeypatch.setattr(_InProcessFork, "children", None)
+        monkeypatch.setattr(_InProcessFork, "swept", [])
+
+        def get_context(method):
+            assert method == "fork"
+            _InProcessFork.children = []
+            return _InProcessFork
+
+        count_range = montecarlo._count_range
+
+        def spy(kind, graph, seed, start, stop):
+            _InProcessFork.swept.append((start, stop))
+            return count_range(kind, graph, seed, start, stop)
+
+        monkeypatch.setattr(montecarlo.multiprocessing, "get_context", get_context)
+        monkeypatch.setattr(montecarlo, "_count_range", spy)
+        return _InProcessFork
 
     @pytest.mark.parametrize("kind", ["node", "link"])
-    def test_lone_chunk_runs_without_a_pool(self, pool, kind):
+    def test_lone_chunk_runs_without_a_pool(self, fork, kind):
+        # 600 runs at two workers round up to one draw block: nothing forks
         g = generate_er(18, 0.3, 1)
         estimate = {"node": estimate_node_cut_fractions, "link": estimate_link_cut_fractions}[kind]
         est = estimate(g, 600, 3, workers=2)
-        assert pool.chunks is None
+        assert fork.children is None and fork.swept == [(0, 600)]
         assert est.counts == tuple(_range_oracle_counts(kind, g, 3, 0, 600))
 
-    def test_chunks_are_whole_draw_blocks(self, pool):
+    def test_chunks_are_whole_draw_blocks(self, fork):
         g, expected = _boundary_oracle_counts("node", "er:18,0.3", TestBlockBoundaryParity.RUNS)
         runs = TestBlockBoundaryParity.RUNS
-        assert estimate_node_cut_fractions(g, runs, 5, workers=2).counts == expected
-        assert pool.chunks == [(0, _DRAW_BLOCK), (_DRAW_BLOCK, 2 * _DRAW_BLOCK), (2 * _DRAW_BLOCK, runs)]
-        # complete:14 has degree 13, so its node runs keep chunks of runs // (4 * workers)
-        estimate_node_cut_fractions(complete_graph(14), 80, 5, workers=2)
-        assert pool.chunks == [(at, at + 10) for at in range(0, 80, 10)]
+        blocks = [(0, _DRAW_BLOCK), (_DRAW_BLOCK, 2 * _DRAW_BLOCK), (2 * _DRAW_BLOCK, runs)]
+        # ceil(runs / 2) rounds up to two draw blocks, ceil(runs / 3) to one
+        for workers, shares in ((2, [(0, 2 * _DRAW_BLOCK), blocks[2]]), (3, blocks)):
+            fork.swept.clear()
+            assert estimate_node_cut_fractions(g, runs, 5, workers).counts == expected
+            assert fork.children == shares[1:] and fork.swept == shares[1:] + shares[:1], workers
+        # complete:14 has degree 13, so its node runs keep shares of ceil(runs / workers)
+        for workers, shares in ((2, [(0, 40), (40, 80)]), (3, [(0, 27), (27, 54), (54, 80)])):
+            fork.swept.clear()
+            estimate_node_cut_fractions(complete_graph(14), 80, 5, workers)
+            assert fork.children == shares[1:] and fork.swept == shares[1:] + shares[:1], workers
+
+
+# one graph for each way of sweeping each kind; link runs are never "plain"
+FORK_GRAPHS = [
+    ("node", "numpy-start", generate_er(600, 0.01, 1)),
+    ("node", "block", generate_er(18, 0.3, 1)),
+    ("node", "plain", _wheel(13)),
+    ("link", "numpy-start", generate_er(40, 0.35, 5)),
+    ("link", "block", generate_ba(12, 3, 107)),
+]
+_ESTIMATE = {"node": estimate_node_cut_fractions, "link": estimate_link_cut_fractions}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block if it runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkedShares:
+    """Estimates whose shares are swept by the caller and by forked
+    children, whatever the host's CPU count. Each test must end within two
+    minutes, and no child may outlive an estimate, whether it succeeds or
+    fails."""
+
+    RUNS = 30
+
+    @pytest.fixture(autouse=True)
+    def workers_as_asked(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "resolve_workers", lambda workers: workers)
+        with _deadline(120):
+            yield
+        assert not multiprocessing.active_children()
+
+    def _fail_in(self, monkeypatch, failing_start, failure):
+        """Make the share that starts at run `failing_start` call failure()."""
+        count_range = montecarlo._count_range
+
+        def count_or_fail(kind, graph, seed, start, stop):
+            if start == failing_start:
+                failure()
+            return count_range(kind, graph, seed, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_count_range", count_or_fail)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind,way,g", FORK_GRAPHS, ids=[f"{k}-{w}" for k, w, _ in FORK_GRAPHS])
+    def test_counts_equal_serial(self, kind, way, g, workers):
+        assert montecarlo._sweep_way(kind, g) == way
+        runs = 2 * _DRAW_BLOCK + 3 if way == "block" else self.RUNS
+        assert len(montecarlo._shares(runs, workers, way == "block")) == workers
+        assert _ESTIMATE[kind](g, runs, 13, workers).counts == _ESTIMATE[kind](g, runs, 13, 1).counts
+
+    def test_child_exception_reaches_caller(self, monkeypatch):
+        def exhausted():
+            raise MemoryError
+
+        self._fail_in(monkeypatch, 10, exhausted)
+        with pytest.raises(MemoryError) as raised:
+            estimate_node_cut_fractions(complete_graph(14), self.RUNS, 1, 3)
+        # the child's traceback comes along as the cause
+        cause = raised.value.__cause__
+        assert isinstance(cause, ChildProcessError) and "in exhausted" in str(cause)
+
+    @pytest.mark.parametrize("failing_start", [10, 20])
+    def test_dead_child_names_its_exit_code(self, monkeypatch, failing_start):
+        # the child dies without sending anything: its pipe reads end of file
+        self._fail_in(monkeypatch, failing_start, lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
+            estimate_node_cut_fractions(complete_graph(14), self.RUNS, 1, 3)
+
+    def test_caller_exception_stops_children(self, monkeypatch):
+        def fails():
+            raise ValueError("the caller's share failed")
+
+        self._fail_in(monkeypatch, 0, fails)
+        with pytest.raises(ValueError, match="caller's share"):
+            estimate_node_cut_fractions(complete_graph(14), self.RUNS, 1, 3)
+
+
+def _run_python(code, *args):
+    """The stdout of `python -c code args`, with relpoly importable and stdout a pipe."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, check=True, timeout=120).stdout
+
+
+# forks as many workers as asked, whatever the host's CPU count
+_AS_ASKED = "import sys\nfrom relpoly import cli, montecarlo\nmontecarlo.resolve_workers = lambda workers: workers\n"
+
+
+class TestForkedOutput:
+    def test_buffered_stdout_written_once(self):
+        # piped stdout is block-buffered: a child that inherited the line
+        # unflushed would write it again when it exits
+        out = _run_python(_AS_ASKED + "print('before the estimate')\n"
+                          "from relpoly import complete_graph, estimate_node_cut_fractions\n"
+                          "estimate_node_cut_fractions(complete_graph(14), 40, 1, 2)\n")
+        assert out == b"before the estimate\n"
+
+    def test_cli_stdout_same_at_one_and_two_workers(self):
+        argv = ["mc", "--gen", "er:600,0.01", "--gen-seed", 1, "--runs", 40, "--seed", 3, "--grid", 11]
+        code = _AS_ASKED + "print('before the run')\nsys.exit(cli.main(sys.argv[1:]))\n"
+        one = _run_python(code, *argv, "--workers", 1)
+        assert one.startswith(b"before the run\n") and one.count(b"before") == 1
+        assert _run_python(code, *argv, "--workers", 2) == one
