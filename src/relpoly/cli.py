@@ -256,7 +256,7 @@ def _cmd_laplace(args):
         source = _coefficients(args, graph, "node")
     else:
         source = _estimate(args, graph, "node")
-    curve = montecarlo.laplace_curve(source, grid, basis=args.basis)
+    curve = montecarlo.laplace_curve(source, grid)
     _emit_curve(curve, args, label)
     return 0
 
@@ -455,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[graph_source, grid, cap, monte_carlo, out],
     )
     s.add_argument("--source", choices=("exact", "mc"), default="exact")
-    s.add_argument("--basis", choices=("s", "c"), default="c")
     s.set_defaults(fn=_cmd_laplace)
 
     # each approx method takes only the options it reads; _cmd_approx stays

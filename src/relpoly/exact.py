@@ -23,6 +23,7 @@ two ends that may not. N (or L) above the cap, 24 by default, is refused.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .errors import CapacityError
 from .graph import FAMILIES, Graph
 
 DEFAULT_ENUMERATION_CAP = 24
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +57,13 @@ def bernstein_mixture(fractions, p: float) -> float:
     Weights are formed in log space so the mixture stays finite for any n,
     which matters once n reaches the hundreds.
     """
+    _check_probability(p)
     fr = np.asarray(fractions, dtype=float)
     n = fr.size - 1
-    if p <= 0.0:
+    if p == 0.0:
         return float(fr[0])
-    if p >= 1.0:
+    if p == 1.0:
         return float(fr[n])
-    _check_probability(p)  # only NaN is left to reject here
     k = np.arange(n + 1)
     logw = _log_binomials(n) + k * math.log(p) + (n - k) * math.log1p(-p)
     return float(np.dot(np.exp(logw), fr))
@@ -69,6 +71,21 @@ def bernstein_mixture(fractions, p: float) -> float:
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def _mixture_curve(fractions):
+    """p -> bernstein_mixture(fractions, p) clamped to [0, 1], each clamp logged
+    at debug level; the fractions become a float array once, not once per p."""
+    fr = np.asarray(fractions, dtype=float)
+
+    def value(p):
+        raw = bernstein_mixture(fr, float(p))
+        if 0.0 <= raw <= 1.0:
+            return raw
+        _log.debug("clamped curve value at p=%.17g; raw %.17g", p, raw)
+        return _clamp01(raw)
+
+    return value
 
 
 def _fractions(counts) -> tuple:
@@ -307,7 +324,8 @@ def _reliability(coeffs: ReliabilityCoefficients, kind: str, p, exact: bool = Fa
         raise ValueError(f"{kind}-kind coefficients required")
     working = coeffs.connected_counts if kind == "node" else coeffs.kept_counts[::-1]
     if not exact:
-        return _clamp01(bernstein_mixture(_fractions(working), p))
+        return _mixture_curve(_fractions(working))(p)
+    _check_probability(p)
     p = Fraction(p)
     q = 1 - p
     n = len(working) - 1

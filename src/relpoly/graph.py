@@ -412,10 +412,20 @@ def save_edge_list(graph: Graph) -> str:
     """
     n = graph.num_nodes
     heads, tails = graph.link_ends
-    # one "u %d" line per link of node u, all filled by a single format:
-    # no (u, v) tuple per link
-    lines = "".join([f"{u} %d\n" * k for u, k in enumerate(np.bincount(heads, minlength=n).tolist())])
-    return (f"# nodes {n}\n" if n and not graph.degree(n - 1) else "") + lines % tuple(tails.tolist())
+    blocks = [f"# nodes {n}\n"] if n and not graph.degree(n - 1) else []
+    # one "u %d" line per link of node u, filled by one format per block of
+    # whole nodes with about _PAIR_BLOCK links: no (u, v) tuple per link,
+    # and no Python int for every link at once
+    lines, start, stop = [], 0, 0
+    for u, k in enumerate(np.bincount(heads, minlength=n).tolist()):
+        lines.append(f"{u} %d\n" * k)
+        stop += k
+        if stop - start >= _PAIR_BLOCK or u == n - 1:
+            form = "".join(lines)
+            lines.clear()  # before the format, whose ints and text are the peak
+            blocks.append(form % tuple(tails[start:stop].tolist()))
+            start = stop
+    return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +433,8 @@ def save_edge_list(graph: Graph) -> str:
 
 
 # pairs per block of _row_blocks, whole rows each: bounds the per-pair
-# arrays of generate_er and generate_rgg at a few MiB whatever N is
+# arrays of generate_er and generate_rgg at a few MiB whatever N is; also
+# about the links per block of whole nodes that save_edge_list formats
 _PAIR_BLOCK = 1 << 18
 
 

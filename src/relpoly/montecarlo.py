@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import logging
 import multiprocessing
 import operator
 import os
@@ -73,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve, _check_probability
-from .exact import ReliabilityCoefficients, bernstein_mixture, _clamp01
+from .exact import ReliabilityCoefficients, _clamp01, _mixture_curve
 from .graph import _MASK64, Graph, _label_components
 
 # removal orders are drawn _DRAW_BLOCK runs at a time. Below this size they
@@ -156,7 +155,7 @@ class CutFractionEstimate:
     def __post_init__(self):
         if len(self.counts) != self.dimension + 1:
             raise ValueError("need one count per removal size 0..dimension")
-        if any(c < 0 or c > self.runs for c in self.counts):
+        if min(self.counts, default=0) < 0 or max(self.counts, default=0) > self.runs:
             raise ValueError("counts must lie in [0, runs]")
 
     @property
@@ -828,9 +827,6 @@ def estimate_link_cut_fractions(
 # curves from estimated (or exact) fractions
 
 
-_log = logging.getLogger(__name__)
-
-
 def _estimate_curve(est: CutFractionEstimate):
     """p -> 1 - sum_j C(n,j) c_j p^(n-j) (1-p)^j for the estimate, clamped to [0, 1].
 
@@ -838,17 +834,7 @@ def _estimate_curve(est: CutFractionEstimate):
     sum_j C(n,j) (1-c_j) p^(n-j) (1-p)^j: summing nonnegative terms avoids
     the cancellation dirt that x^p would otherwise blow up near zero.
     """
-    # one float array per curve, not one conversion per grid point
-    rev_survive = np.array([1.0 - c for c in reversed(est.fractions)])
-
-    def value(p):
-        raw = bernstein_mixture(rev_survive, float(p))
-        if 0.0 <= raw <= 1.0:
-            return raw
-        _log.debug("clamped curve value at p=%.17g; raw %.17g", p, raw)
-        return _clamp01(raw)
-
-    return value
+    return _mixture_curve(1.0 - np.array(est.counts[::-1], dtype=float) / est.runs)
 
 
 def _reliability_curve(est: CutFractionEstimate, grid, kind: str) -> Curve:
@@ -895,30 +881,23 @@ def _interp(vec, x: float) -> float:
     return (1.0 - frac) * vec[lo] + frac * vec[lo + 1]
 
 
-def laplace_estimate(source, p: float, basis: str = "c") -> float:
-    """Concentration-point estimate of the node reliability at p.
+def laplace_estimate(source, p: float) -> float:
+    """Concentration-point estimate of the node reliability at p (see laplace_curve)."""
+    return laplace_curve(source, (p,)).values[0]
 
-    basis "s": interpolate the connected fractions at index N*p.
-    basis "c": 1 minus the cut fractions interpolated at index N*(1-p).
-    The two agree whenever the fractions come from the same coefficients.
-    Non-integer indices are linearly interpolated.
-    """
-    _check_probability(p)
+
+def laplace_curve(source, grid) -> Curve:
+    """1 minus the cut fractions read at the concentration index N*(1-p), for
+    each p of the grid; a non-integer index is linearly interpolated."""
     cvec, n = _cut_fraction_vector(source)
-    if basis == "c":
-        return _clamp01(1.0 - _interp(cvec, n * (1.0 - p)))
-    if basis == "s":
-        svec = tuple(1.0 - cvec[n - k] for k in range(n + 1))
-        return _clamp01(_interp(svec, n * p))
-    raise ValueError('basis must be "s" or "c"')
-
-
-def laplace_curve(source, grid, basis: str = "c") -> Curve:
-    values = tuple(laplace_estimate(source, p, basis) for p in grid)
+    values = []
+    for p in grid:
+        _check_probability(p)
+        values.append(_clamp01(1.0 - _interp(cvec, n * (1.0 - p))))
     runs = source.runs if isinstance(source, CutFractionEstimate) else None
     seed = source.seed if isinstance(source, CutFractionEstimate) else None
     return Curve(
         tuple(grid),
-        values,
+        tuple(values),
         {"method": "laplace", "kind": "node", "runs": runs, "seed": seed},
     )

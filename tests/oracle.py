@@ -228,6 +228,19 @@ def direct_link_polynomial(f_counts, p):
     return sum(f * (1 - p) ** j * p ** (l - j) for j, f in enumerate(f_counts))
 
 
+def laplace_s_form(cut_fractions, p):
+    """The Laplace estimate on the connected fractions s_k = 1 - c_(N-k),
+    linearly interpolated at index N p and clamped to [0, 1]; the library
+    reads the cut fractions at index N (1 - p), the same piecewise-linear
+    function up to rounding."""
+    n = len(cut_fractions) - 1
+    s = [1.0 - c for c in reversed(cut_fractions)]
+    x = n * p
+    lo = math.floor(x)
+    value = s[0] if x <= 0 else s[n] if lo >= n else (1.0 - (x - lo)) * s[lo] + (x - lo) * s[lo + 1]
+    return min(max(value, 0.0), 1.0)
+
+
 def probe_matrix(system):
     """Row i of a cut-set ProbeSystem: (1-p_i)^j p_i^(n-j) for j = 0..n,
     in the probes' own arithmetic."""

@@ -202,6 +202,11 @@ class TestCutsets:
         assert run_cli(["cutsets", "--family", "complete", "--n", 3, "--probes", "1/5,2/5,3/5,4/5"]) == 2
         assert "unrecognized arguments: --probes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("basis", ["s", "c"])
+    def test_basis_option_is_gone(self, capsys, basis):
+        assert run_cli(["laplace", "--family", "cycle", "--n", 5, "--basis", basis]) == 2
+        assert "unrecognized arguments: --basis" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, spied, n", [
         (["--gen", "er:200,0.05", "--source", "mc", "--runs", 20000, "--workers", 1],
          (montecarlo, "estimate_node_cut_fractions"), 200),

@@ -7,8 +7,13 @@ import pytest
 
 from relpoly import (
     CapacityError,
+    CutFractionEstimate,
+    ErModel,
     Graph,
     ReliabilityCoefficients,
+    RggModel,
+    approx,
+    bernstein_mixture,
     closed_form_eval,
     complete_graph,
     complete_pendant_graph,
@@ -20,6 +25,7 @@ from relpoly import (
     generate_er,
     generate_lattice,
     generate_rgg,
+    laplace_estimate,
     link_reliability,
     node_reliability_c_form,
     node_reliability_s_form,
@@ -27,6 +33,7 @@ from relpoly import (
     star_graph,
     star_pendant_graph,
 )
+from relpoly.cutset import estimate_curve_source, exact_link_curve_source, exact_node_curve_source
 from relpoly.exact import _frontier_order, _link_counts, _node_counts
 from relpoly.graph import FAMILIES
 from oracle import (
@@ -419,3 +426,43 @@ class TestSerialization:
         again = ReliabilityCoefficients.from_json(c.to_json())
         assert again.connected_counts == c.connected_counts
         assert max(c.connected_counts) == math.comb(80, 40)
+
+
+_NODE_C4 = ReliabilityCoefficients.node(4, [0, 4, 4, 4, 1])
+_LINK_C4 = ReliabilityCoefficients.link(4, 4, [1, 4, 0, 0, 0])
+_EST = CutFractionEstimate("node", 2, (0, 1, 3), 3, 0)
+
+# every public function that evaluates one curve at one p
+PER_P = {
+    "node_reliability_s_form": lambda p: node_reliability_s_form(_NODE_C4, p),
+    "node_reliability_c_form": lambda p: node_reliability_c_form(_NODE_C4, p),
+    "link_reliability": lambda p: link_reliability(_LINK_C4, p),
+    "bernstein_mixture": lambda p: bernstein_mixture((0.0, 0.5, 1.0), p),
+    "closed_form_eval": lambda p: closed_form_eval("cycle", 4, p),
+    "laplace_estimate": lambda p: laplace_estimate(_NODE_C4, p),
+    "exact_node_curve_source": lambda p: exact_node_curve_source(_NODE_C4)(p),
+    "exact_link_curve_source": lambda p: exact_link_curve_source(_LINK_C4)(p),
+    "estimate_curve_source": lambda p: estimate_curve_source(_EST)(p),
+    "stochastic_node_reliability": lambda p: approx.stochastic_node_reliability(cycle_graph(4), p),
+    "stochastic_link_reliability": lambda p: approx.stochastic_link_reliability(cycle_graph(4), p),
+    "arithmetic_upper_bound": lambda p: approx.arithmetic_upper_bound(cycle_graph(4), p),
+    "geometric_upper_bound": lambda p: approx.geometric_upper_bound(cycle_graph(4), p),
+    "er_node_reliability": lambda p: approx.er_node_reliability(ErModel(100, 0.05), p),
+    "rgg_node_reliability": lambda p: approx.rgg_node_reliability(RggModel(100, 0.2), p),
+}
+
+
+class TestProbabilityChecked:
+    @pytest.mark.parametrize("p", [-0.5, 1.5, math.nan], ids=["below", "above", "nan"])
+    @pytest.mark.parametrize("name", list(PER_P))
+    def test_p_outside_unit_interval_refused(self, name, p):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            PER_P[name](p)
+
+    @pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2), -1, 2], ids=["-1/2", "3/2", "-1", "2"])
+    @pytest.mark.parametrize("kind", ["node", "link"])
+    def test_rational_p_outside_unit_interval_refused(self, kind, p):
+        # Fraction and int probes take the rational sum, not the mixture
+        source = {"node": exact_node_curve_source(_NODE_C4), "link": exact_link_curve_source(_LINK_C4)}[kind]
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            source(p)

@@ -55,12 +55,10 @@ CASES = (
     ("mc-family-stdout", ["mc", "--family", "star", "--n", "6", "--kind", "link", "--runs", "50",
                           "--seed", "2", "--grid", "6", "--workers", "1"]),
     *(
-        (f"laplace-{source}-{basis}", ["laplace", "--input", "er12.edges", "--source", source,
-                                       "--basis", basis, "--runs", "400", "--seed", "5",
-                                       "--workers", "1", "--grid", "21",
-                                       "--out", f"laplace-{source}-{basis}.csv"])
+        (f"laplace-{source}-c", ["laplace", "--input", "er12.edges", "--source", source,
+                                 "--runs", "400", "--seed", "5", "--workers", "1", "--grid", "21",
+                                 "--out", f"laplace-{source}-c.csv"])
         for source in ("exact", "mc")
-        for basis in ("s", "c")
     ),
     ("approx-stochastic-node", ["approx", "stochastic", "--input", "rgg30.edges", "--kind", "node",
                                 "--out", "stoch-node.csv"]),
@@ -190,17 +188,9 @@ EXPECTED = {
         'mc-link-large-w2.csv.meta.json': 'cc80625c5126b2a0e0f590d8ba969e4605bb52f833de5334854ee707ffeff617',
     }),
     'mc-family-stdout': (0, 'adde5d0beb77919f71d5db0fcf1f5ea5eaebd18f7a76aab7ac201124fd346672', {}),
-    'laplace-exact-s': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
-        'laplace-exact-s.csv': '6c5384e721e927754c3d2cea8df714c1a1ef5d241f709d4703039684c51a53ff',
-        'laplace-exact-s.csv.meta.json': '8a1a668f33e26ad48f5de1ad2685d0421b0a49335158611eae4fdea40f616358',
-    }),
     'laplace-exact-c': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
         'laplace-exact-c.csv': '6a048ecdf60b9d5a36733e7a39e7b8a44f348ff102f1d1086dc430ccd93fc569',
         'laplace-exact-c.csv.meta.json': '8a1a668f33e26ad48f5de1ad2685d0421b0a49335158611eae4fdea40f616358',
-    }),
-    'laplace-mc-s': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
-        'laplace-mc-s.csv': '2e8a4ca5f39de3a3b6a042987cc93c0549decba8cd9c5227b8ace648750e902e',
-        'laplace-mc-s.csv.meta.json': '3600663c450da31d0ae38ef7d796c8bb2bc5e3b434bcb23f553290bc1bf516ae',
     }),
     'laplace-mc-c': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {
         'laplace-mc-c.csv': 'b91826ad3d87a56bd3381d49d324c0ad48cdd2c7c5d17e729df3a4bc091539c7',

@@ -303,6 +303,20 @@ class TestEdgeList:
         # node N-1 has a link: no header
         assert save_edge_list(Graph(4, [(3, 0)])) == "0 3\n"
 
+    @pytest.mark.parametrize("block", [1, 2, 5, 1 << 18])
+    @pytest.mark.parametrize("g", [
+        Graph(0), Graph(1), Graph(2, [(0, 1)]), Graph(8, [(4, 0), (0, 1), (2, 3), (1, 4)]), star_graph(9),
+        generate_er(100, 0.01, 6), generate_rgg(60, 0.3, 2), generate_lattice((4, 5)),
+    ], ids=["N0", "N1", "N2", "trailing-isolated", "star-9", "er-trailing-isolated", "rgg", "lattice-4x5"])
+    def test_blocks_equal_one_format(self, monkeypatch, g, block):
+        # save_edge_list formats a block of whole nodes of about _PAIR_BLOCK
+        # links at a time; star-9's centre alone holds more than a small block
+        n = g.num_nodes
+        one = (f"# nodes {n}\n" if n and not g.degree(n - 1) else "") + "".join(f"{u} {v}\n" for u, v in g.edges())
+        monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
+        assert save_edge_list(g) == one
+        assert load_edge_list(one) == g
+
     @pytest.mark.parametrize("text, message", [
         ("# nodes 3\n0 1\n1 3\n", "line 3: node id 3 out of range for 3 nodes"),
         ("# c\n# nodes 3\n5 1\n", "line 3: node id 5 out of range for 3 nodes"),

@@ -36,12 +36,13 @@ from relpoly import (
     path_graph,
     star_graph,
 )
-from relpoly import montecarlo
+from relpoly import bernstein_mixture, montecarlo
 from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _orders, _seed_words, mix_seed
 from oracle import (
     estimate_link_reliability_curve,
     forward_deletion_profile,
     link_disconnection_into,
+    laplace_s_form,
     naive_connected,
     node_disconnection_into,
     run_order,
@@ -480,6 +481,35 @@ class TestCurves:
         with pytest.raises(ValueError):
             node_reliability_curve(est, GRID)
 
+    @pytest.mark.parametrize("kind, graph, runs, clamped", [
+        ("node", generate_er(12, 0.3, 3), 500, False),
+        ("node", generate_er(40, 0.15, 3), 300, False),
+        ("link", generate_lattice((3, 5)), 300, False),
+        ("link", generate_er(40, 0.15, 3), 300, False),
+        ("link", complete_graph(10), 50, True),  # the mixture reads 1 + 2.2e-15 at p = 0.95
+    ], ids=["node-small", "node-large", "link-small", "link-large", "link-clamped"])
+    def test_equal_to_the_tuple_reference(self, caplog, kind, graph, runs, clamped):
+        # the curve built as it was before it read the counts in numpy: a
+        # float tuple of 1 - c_j in reverse, mixed, then clamped
+        estimate = {"node": estimate_node_cut_fractions, "link": estimate_link_cut_fractions}[kind]
+        curve_of = {"node": node_reliability_curve, "link": montecarlo.link_reliability_curve}[kind]
+        est = estimate(graph, runs, seed=1, workers=1)
+        rev_survive = [1.0 - c for c in reversed(est.fractions)]
+        raw = [bernstein_mixture(rev_survive, p) for p in GRID]
+        with caplog.at_level("DEBUG", logger="relpoly.exact"):
+            values = curve_of(est, GRID).values
+        assert values == tuple(min(max(x, 0.0), 1.0) for x in raw)
+        outside = sum(not 0.0 <= x <= 1.0 for x in raw)
+        assert bool(outside) == clamped
+        assert len(caplog.records) == outside
+
+    @pytest.mark.parametrize("counts", [(0, -1, 3), (-1, 0, 3), (0, 4, 3), (0, 1, 4)])
+    def test_counts_outside_zero_to_runs_refused(self, counts):
+        with pytest.raises(ValueError, match=r"counts must lie in \[0, runs\]"):
+            CutFractionEstimate("node", 2, counts, 3, 0)
+        # 0 and runs themselves are counts
+        assert CutFractionEstimate("node", 2, (0, 3, 3), 3, 0).fractions == (0.0, 1.0, 1.0)
+
 
 class TestLinkEstimator:
     def test_tree_curve_is_p_to_the_l(self):
@@ -521,12 +551,17 @@ class TestLaplace:
             expected = 1.0 if g.is_connected() else 0.0
             assert laplace_estimate(coeffs, 1.0) == expected, label
 
-    def test_bases_agree_on_exact_fractions(self):
-        coeffs = enumerate_node_coefficients(cycle_graph(7))
-        for p in GRID:
-            s_val = laplace_estimate(coeffs, p, basis="s")
-            c_val = laplace_estimate(coeffs, p, basis="c")
-            assert s_val == pytest.approx(c_val, abs=1e-12)
+    def test_equal_to_the_s_form_oracle(self, corpus):
+        # the cut fractions read at N(1-p) and the connected fractions read
+        # at Np interpolate one piecewise-linear function
+        for label, g in corpus:
+            coeffs = enumerate_node_coefficients(g)
+            est = estimate_node_cut_fractions(g, 400, seed=5, workers=1)
+            for source, fractions in ((coeffs, coeffs.cut_fractions), (est, est.fractions)):
+                curve = laplace_curve(source, GRID)
+                for p, value in zip(GRID, curve.values):
+                    assert value == laplace_estimate(source, p), label
+                    assert value == pytest.approx(laplace_s_form(fractions, p), abs=1e-12), label
 
     def test_interpolation(self):
         # at p = 0.75 the c-basis index is N(1-p) = 0.5, halfway c_0 -> c_1
