@@ -57,17 +57,6 @@ def _pairs(n: int) -> int:
     return n * (n - 1) // 2 if n > 0 else 0
 
 
-# link count of each FAMILIES graph on n nodes
-_FAMILY_LINKS = {
-    "complete": _pairs,
-    "complete-pendant": lambda n: _pairs(n - 1) + 1,
-    "cycle": lambda n: n,
-    "path": lambda n: n - 1,
-    "star": lambda n: n - 1,
-    "star-pendant": lambda n: n - 1,
-}
-
-
 def _parse_gen_spec(spec: str, seed: int) -> Graph:
     """Inline generator specs: er:N,PL  rgg:N,R  ba:N,M  lattice:D1xD2[xD3].
 
@@ -121,8 +110,8 @@ def _load_graph(args) -> tuple:
     if args.n is None:
         raise UsageError("--family requires --n")
     label = f"{args.family}:{args.n}"
-    _check_size(label, args.n, _FAMILY_LINKS[args.family](args.n))
-    builder, _ = FAMILIES[args.family]
+    builder, _, links = FAMILIES[args.family]
+    _check_size(label, args.n, links(args.n))
     return builder(args.n), label
 
 

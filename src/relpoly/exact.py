@@ -27,7 +27,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -144,6 +144,16 @@ class ReliabilityCoefficients:
     def cut_fractions(self) -> tuple:
         """c_j = C_j / C(n,j), the chance a uniform j-removal disconnects (n = N or L)."""
         return _fractions(self.cut_counts)
+
+    @cached_property
+    def _working_fractions(self):
+        """W_k / C(n,k) as a read-only float array, built on first use: the
+        working counts W_k are S_k for nodes and F_(L-k) for links. Caching
+        an array leaves the object frozen, equal and picklable."""
+        working = self.connected_counts if self.kind == "node" else self.kept_counts[::-1]
+        fractions = np.array(_fractions(working))
+        fractions.setflags(write=False)
+        return fractions
 
     def to_json(self) -> str:
         payload = {"N": self.num_nodes, "kind": self.kind}
@@ -322,9 +332,9 @@ def _reliability(coeffs: ReliabilityCoefficients, kind: str, p, exact: bool = Fa
     """
     if coeffs.kind != kind:
         raise ValueError(f"{kind}-kind coefficients required")
-    working = coeffs.connected_counts if kind == "node" else coeffs.kept_counts[::-1]
     if not exact:
-        return _mixture_curve(_fractions(working))(p)
+        return _mixture_curve(coeffs._working_fractions)(p)
+    working = coeffs.connected_counts if kind == "node" else coeffs.kept_counts[::-1]
     _check_probability(p)
     p = Fraction(p)
     q = 1 - p
@@ -341,8 +351,7 @@ def node_reliability_c_form(coeffs: ReliabilityCoefficients, p: float) -> float:
     """1 - sum_j C_j p^(N-j) (1-p)^j; must agree with the S-form."""
     if coeffs.kind != "node":
         raise ValueError("node-kind coefficients required")
-    rev = coeffs.cut_fractions[::-1]
-    return _clamp01(1.0 - bernstein_mixture(rev, p))
+    return 1.0 - _mixture_curve(coeffs.cut_fractions[::-1])(p)
 
 
 def link_reliability(coeffs: ReliabilityCoefficients, p: float) -> float:

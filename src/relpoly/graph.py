@@ -634,13 +634,14 @@ def star_pendant_graph(n: int) -> Graph:
     return Graph(n, edges)
 
 
-# name -> (builder, smallest n the family's closed forms accept); the path
-# builder takes any n >= 1, but the path closed forms reject n < 3
+# name -> (builder, smallest n the family's closed forms accept, link count
+# of the graph on n nodes, read before it is built); the path builder takes
+# any n >= 1, but the path closed forms reject n < 3
 FAMILIES = {
-    "complete": (complete_graph, 1),
-    "complete-pendant": (complete_pendant_graph, 3),
-    "cycle": (cycle_graph, 3),
-    "path": (path_graph, 3),
-    "star": (star_graph, 3),
-    "star-pendant": (star_pendant_graph, 3),
+    "complete": (complete_graph, 1, lambda n: max(n, 0) * (n - 1) // 2),
+    "complete-pendant": (complete_pendant_graph, 3, lambda n: max(n - 1, 0) * (n - 2) // 2 + 1),
+    "cycle": (cycle_graph, 3, lambda n: n),
+    "path": (path_graph, 3, lambda n: n - 1),
+    "star": (star_graph, 3, lambda n: n - 1),
+    "star-pendant": (star_pendant_graph, 3, lambda n: n - 1),
 }

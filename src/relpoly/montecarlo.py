@@ -43,12 +43,13 @@ which fills no block, so both profiles keep the per-run sweeps too.
 
 Runs are seeded individually by mixing the root seed with the run index,
 so results do not depend on how runs are split across worker processes.
-Removal orders are drawn _DRAW_BLOCK runs at a time from those same
-per-run streams, so the orders do not depend on where a block or a
-worker's share begins. Orders of fewer than _SMALL_PERMUTATION elements
-are shuffled in numpy for the whole block. Larger ones come from numpy's
-PCG64 generator, one per run; only its seeding hash, which costs more than
-a mid-size shuffle, is computed in numpy for the whole block.
+Every way reads its removal orders from _order_blocks, which draws them
+_DRAW_BLOCK runs at a time from those same per-run streams, so the orders
+do not depend on where a block or a worker's share begins, and turns them
+into counts in one loop, _counts. Orders of fewer than _SMALL_PERMUTATION
+elements are shuffled in numpy for the whole block. Larger ones come from
+numpy's PCG64 generator, one per run; only its seeding hash, which costs
+more than a mid-size shuffle, is computed in numpy for the whole block.
 
 With w workers the runs are split into contiguous shares of
 ceil(runs / w) runs, rounded up to whole draw blocks where runs are swept
@@ -60,7 +61,6 @@ caches, and sends back only its counts. A lone share forks nothing.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import multiprocessing
 import operator
 import os
@@ -75,14 +75,14 @@ from .curve import Curve, _check_probability
 from .exact import ReliabilityCoefficients, _clamp01, _mixture_curve
 from .graph import _MASK64, Graph, _label_components
 
-# removal orders are drawn _DRAW_BLOCK runs at a time. Below this size they
-# come from a SplitMix64 Fisher-Yates shuffle, all in numpy (see
-# _small_orders); from it up, from numpy's PCG64 generator seeded per run,
-# whose setup a small order cannot repay, with the seeding hash of the whole
-# block in numpy (see _large_orders). A block's memory is O(_DRAW_BLOCK * n)
-# below the size and O(_DRAW_BLOCK) from it up, whatever the run count; runs
-# swept a block at a time (see _sweep_way) take a block as one (runs, n)
-# array, so large orders are copied into one, of at most a slice's rows
+# every way reads its removal orders from _order_blocks, which draws them
+# _DRAW_BLOCK runs at a time. Below this size they come from a SplitMix64
+# Fisher-Yates shuffle, all in numpy (see _small_orders); from it up, from
+# numpy's PCG64 generator seeded per run, whose setup a small order cannot
+# repay, with the seeding hash of the whole block in numpy (see
+# _large_orders). A block's memory is O(_DRAW_BLOCK * n) below the size;
+# from it up, large orders are copied into one (rows, n) array of at most a
+# slice's rows, whatever the run count
 _SMALL_PERMUTATION = 32
 _DRAW_BLOCK = 4096
 _GAMMA = 0x9E3779B97F4A7C15
@@ -231,7 +231,7 @@ def _seed_words(run_seeds):
     return np.stack([words[k] | words[k + 1] << 32 for k in range(0, 8, 2)], axis=1)
 
 
-def _large_orders(n: int, seed: int, start: int, stop: int, arrays: bool):
+def _large_orders(n: int, seed: int, start: int, stop: int):
     """Removal orders of runs start..stop-1 over n >= _SMALL_PERMUTATION elements.
 
     Run r's order is Generator(PCG64(mix_seed(seed, r))).permutation(n).
@@ -247,31 +247,15 @@ def _large_orders(n: int, seed: int, start: int, stop: int, arrays: bool):
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         state["state"] = {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
         bit_generator.state = state
-        perm = generator.permutation(n)
-        yield perm if arrays else perm.tolist()
-
-
-def _orders(dim: int, seed: int, start: int, stop: int, arrays: bool):
-    """The removal orders of runs start..stop-1 over dim elements, one run at a time.
-
-    They serve the runs swept one at a time (see _sweep_way) and are drawn
-    _DRAW_BLOCK runs at a time. Below _SMALL_PERMUTATION elements they come
-    as lists; no run of that size starts from a numpy step. From it up, they
-    are arrays if `arrays` is set and lists otherwise.
-    """
-    for at in range(start, stop, _DRAW_BLOCK):
-        end = min(at + _DRAW_BLOCK, stop)
-        if dim < _SMALL_PERMUTATION:
-            yield from _small_orders(dim, seed, at, end).tolist()
-        else:
-            yield from _large_orders(dim, seed, at, end, arrays)
+        yield generator.permutation(n)
 
 
 def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
     """The removal orders of runs start..stop-1 over dim elements, as (runs, dim) intp arrays.
 
-    Each draw block of _DRAW_BLOCK runs comes in slices of at most `rows`
-    runs. A small block is sliced as _small_orders drew it; large orders are
+    Every way of sweeping runs reads its orders here (see _sweep_way). Each
+    draw block of _DRAW_BLOCK runs comes in slices of at most `rows` runs.
+    A small block is sliced as _small_orders drew it; large orders are
     copied row by row into one array reused for every slice, which is valid
     until the next slice is asked for.
     """
@@ -285,7 +269,7 @@ def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
             continue
         if buffer is None:
             buffer = np.empty((min(rows, _DRAW_BLOCK, stop - start), dim), np.intp)
-        draws = _large_orders(dim, seed, at, end, True)
+        draws = _large_orders(dim, seed, at, end)
         for i in range(at, end, rows):
             slice_ = buffer[: min(rows, end - i)]
             for j, perm in zip(range(len(slice_)), draws):
@@ -433,7 +417,7 @@ def _link_connection_threshold(ends, perm, start: int, parent, size, ncomp: int)
     """Largest j whose residual keeps all N nodes connected, or -1 if none does.
 
     ends is a pair (heads, tails) of sequences over the link ids, here
-    memoryviews of graph.link_ends' rows: link e joins heads[e] and
+    lists or memoryviews of graph.link_ends' rows: link e joins heads[e] and
     tails[e]. Links are inserted from perm[start] down to perm[0] into the
     union-find state (parent, size, ncomp), which holds the links
     perm[start + 1:]. The state may come from anywhere: the answer depends
@@ -478,9 +462,8 @@ def _link_threshold(ends, n: int, perm, start_late: bool) -> int:
     are labelled in numpy. One component gives the threshold t_iso;
     otherwise the labels seed the union-find sweep from t_iso - 1.
     """
-    rows = tuple(map(memoryview, ends))  # link e's end nodes, read as plain ints
-    if not start_late:
-        return _link_connection_threshold(rows, perm, len(perm) - 1, list(range(n)), [1] * n, n)
+    if not start_late:  # a sweep of the whole order reads lists faster than memoryviews
+        return _link_connection_threshold(ends.tolist(), perm, len(perm) - 1, list(range(n)), [1] * n, n)
     heads, tails = np.take(ends, perm, axis=1)
     last = np.full(n, -1)
     at = np.arange(len(perm))
@@ -495,7 +478,7 @@ def _link_threshold(ends, n: int, perm, start_late: bool) -> int:
         return t_iso
     ncomp = int(np.count_nonzero(labels == np.arange(n)))
     return _link_connection_threshold(
-        rows, perm[:t_iso].tolist(), t_iso - 1, labels.tolist(),
+        tuple(map(memoryview, ends)), perm[:t_iso].tolist(), t_iso - 1, labels.tolist(),
         np.bincount(labels, minlength=n).tolist(), ncomp,
     )
 
@@ -630,7 +613,7 @@ def _sweep_way(kind: str, graph: Graph) -> str:
         return "numpy-start" if l >= _LABEL_MIN_LINKS else "block"
     if n >= _NODE_SHORTCUT_MIN_NODES:
         return "numpy-start" if 2 * l <= _NODE_SHORTCUT_MAX_MEAN_DEGREE * n else "plain"
-    return "block" if max(graph.degrees(), default=0) <= _BLOCK_MAX_DEGREE else "plain"
+    return "block" if max(map(len, graph.adjacency), default=0) <= _BLOCK_MAX_DEGREE else "plain"
 
 
 def _check_order(order, size: int, what: str):
@@ -638,77 +621,79 @@ def _check_order(order, size: int, what: str):
     message = f"removal order must be a permutation of all {what} ids"
     try:
         order = np.fromiter(map(operator.index, order), np.int64)
-    except (TypeError, OverflowError):  # not an integer, or beyond int64
+        # size ids below size that count every id; bincount refuses a negative one
+        if len(order) != size or order.max(initial=-1) >= size or not np.bincount(order, minlength=size).all():
+            raise ValueError(message)
+    except (TypeError, OverflowError, ValueError):  # not an integer, beyond int64, or negative
         raise ValueError(message) from None
-    if len(order) != size or not np.array_equal(np.sort(order), np.arange(size)):
-        raise ValueError(message)
     return order
 
 
-def _node_counts(graph: Graph, ends, orders) -> list:
-    """Disconnection counts for j = 0..N over the removal orders.
+def _counts(kind: str, graph: Graph, way: str, blocks):
+    """Disconnection counts for j = 0..N (or L) over the orders in blocks, as an int array.
 
-    ends is graph.link_ends on the "numpy-start" way (see _sweep_way) and
-    None otherwise; the orders are arrays when it is set, else lists.
+    blocks yields (runs, dim) arrays of removal orders, as _order_blocks
+    does. `way` sweeps an array in lockstep on "block", and a row at a time
+    otherwise, as a list on "plain" (see _sweep_way). A run adds 1 to out[j]
+    for each disconnected j, a list if node runs add one at a time, or 1 to
+    steps[j] where a stretch of them starts, spread by prefix sums: a link
+    run's at its threshold + 1, a "numpy-start" node run's isolated suffix.
     """
-    n, adj = graph.num_nodes, graph.adjacency
-    out = [0] * (n + 1)
-    if ends is None:
-        for perm in orders:
-            _node_disconnection_into(adj, n, perm, out)
-        return out
-    suffix = [0] * (n + 1)
-    for perm in orders:
-        _node_run(adj, ends, perm, out, suffix)
-    return list(map(operator.add, out, itertools.accumulate(suffix)))
+    n = graph.num_nodes
+    dim = n if kind == "node" else graph.num_links
+    out = [0] * (dim + 1) if kind == "node" and way != "block" else np.zeros(dim + 1, np.intp)
+    steps = np.zeros(dim + 2, np.intp)
+    if kind == "node" and way == "block":
+        slots = np.full((max(map(len, graph.adjacency), default=0), n + 1), n, np.intp)
+        for v, neighbours in enumerate(graph.adjacency):
+            slots[: len(neighbours), v] = neighbours
+    for perms in blocks:
+        if way == "block" and kind == "node":
+            _node_block_counts(slots, perms, out)
+        elif way == "block":
+            steps += np.bincount(_link_block_thresholds(graph.link_ends, n, perms) + 1, minlength=dim + 2)
+        elif kind == "link":
+            for perm in perms if way == "numpy-start" else perms.tolist():
+                steps[_link_threshold(graph.link_ends, n, perm, way == "numpy-start") + 1] += 1
+        elif way == "plain":
+            for perm in perms.tolist():
+                _node_disconnection_into(graph.adjacency, n, perm, out)
+        else:
+            for perm in perms:
+                _node_run(graph.adjacency, graph.link_ends, perm, out, steps)
+    if kind == "node" and way != "numpy-start":
+        return np.asarray(out)
+    counts = np.add.accumulate(steps[: dim + 1])
+    return counts if kind == "link" else counts + out
+
+
+def _removal_profile(kind: str, graph: Graph, removal_order) -> list:
+    """Disconnection flags for j = 0..N (or L) under one explicit removal order, a
+    one-row block; one order is swept faster on its own, so "block" sweeps "plain"."""
+    order = _check_order(removal_order, graph.num_nodes if kind == "node" else graph.num_links, kind)
+    way = _sweep_way(kind, graph)
+    return _counts(kind, graph, "plain" if way == "block" else way, [order[None]]).astype(bool).tolist()
 
 
 def node_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..N under one explicit removal order."""
-    order = _check_order(removal_order, graph.num_nodes, "node")
-    ends = graph.link_ends if _sweep_way("node", graph) == "numpy-start" else None
-    return [bool(x) for x in _node_counts(graph, ends, [order.tolist() if ends is None else order])]
+    return _removal_profile("node", graph, removal_order)
 
 
 def link_removal_profile(graph: Graph, removal_order) -> list:
     """Disconnection flags for j = 0..L removed links, nodes always present."""
-    l = graph.num_links
-    order = _check_order(removal_order, l, "link")
-    late = _sweep_way("link", graph) == "numpy-start"
-    last = _link_threshold(graph.link_ends, graph.num_nodes, order if late else order.tolist(), late)
-    return [False] * (last + 1) + [True] * (l - last)
+    return _removal_profile("link", graph, removal_order)
 
 
 def _count_range(kind: str, graph: Graph, seed: int, start: int, stop: int) -> list:
-    """Disconnection counts of runs start..stop-1, from the arguments alone."""
-    n, l = graph.num_nodes, graph.num_links
-    dim = n if kind == "node" else l
+    """Disconnection counts of runs start..stop-1, from the arguments alone, in
+    slices of about _BLOCK_CELLS union-find cells on the "block" way, n + 1 a
+    row, and of about _DRAW_BLOCK order elements on the others."""
+    n = graph.num_nodes
+    dim = n if kind == "node" else graph.num_links
     way = _sweep_way(kind, graph)
-    if way == "block":
-        blocks = _order_blocks(dim, seed, start, stop, max(1, _BLOCK_CELLS // (n + 1)))
-        if kind == "node":
-            slots = np.full((max(map(len, graph.adjacency), default=0), n + 1), n, np.intp)
-            for v, neighbours in enumerate(graph.adjacency):
-                slots[: len(neighbours), v] = neighbours
-            out = np.zeros(n + 1, np.intp)
-            for perms in blocks:
-                _node_block_counts(slots, perms, out)
-            return out.tolist()
-        runs = np.zeros(l + 2, np.intp)
-        for perms in blocks:
-            runs += np.bincount(_link_block_thresholds(graph.link_ends, n, perms) + 1, minlength=l + 2)
-        runs = runs.tolist()
-    else:
-        ends = graph.link_ends if way == "numpy-start" else None
-        orders = _orders(dim, seed, start, stop, ends is not None)
-        if kind == "node":
-            return _node_counts(graph, ends, orders)
-        runs = [0] * (l + 2)
-        for perm in orders:
-            runs[_link_threshold(ends, n, perm, True) + 1] += 1
-    # runs[k] counts the runs whose threshold is k - 1; a run is disconnected
-    # at every j above its threshold, so the counts are the prefix sums
-    return list(itertools.accumulate(runs[: l + 1]))
+    rows = _BLOCK_CELLS // (n + 1) if way == "block" else _DRAW_BLOCK // (dim + 1)
+    return _counts(kind, graph, way, _order_blocks(dim, seed, start, stop, max(1, rows))).tolist()
 
 
 def _shares(runs: int, w: int, block: bool) -> list:

@@ -59,7 +59,7 @@ def _report(criterion, ok, detail):
 def test_criterion_1_closed_forms_match_enumeration():
     t0 = time.perf_counter()
     worst = 0.0
-    for family, (builder, _) in FAMILIES.items():
+    for family, (builder, _, _) in FAMILIES.items():
         for n in range(3, 11):
             coeffs = enumerate_node_coefficients(builder(n))
             for p in INTERIOR_GRID_99:

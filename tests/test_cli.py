@@ -450,7 +450,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("source", [
         ["--gen", "ba:30,3"], ["--gen", "ba:5,4"], ["--gen", "lattice:4x5"], ["--gen", "lattice:1x7"],
         ["--gen", "lattice:2x3x4"],
-        *(["--family", name, "--n", n] for name, (_, low) in FAMILIES.items() for n in (low, 9)),
+        *(["--family", name, "--n", n] for name, (_, low, _) in FAMILIES.items() for n in (low, 9)),
     ], ids=lambda source: "-".join(str(a) for a in source if not str(a).startswith("--")))
     def test_exact_link_count_is_the_built_one(self, monkeypatch, source):
         checked = []

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +36,9 @@ from relpoly import (
     star_pendant_graph,
 )
 from relpoly.cutset import estimate_curve_source, exact_link_curve_source, exact_node_curve_source
-from relpoly.exact import _frontier_order, _link_counts, _node_counts
+from relpoly import exact
+from relpoly.curve import probability_grid
+from relpoly.exact import _clamp01, _frontier_order, _link_counts, _node_counts
 from relpoly.graph import FAMILIES
 from oracle import (
     brute_connected_counts,
@@ -343,6 +347,48 @@ class TestEvaluation:
     def test_exact_rational_evaluation(self):
         c = enumerate_node_coefficients(path_graph(3))
         assert node_curve_value_exact(c, Fraction(1, 2)) == Fraction(3, 4)
+
+    @pytest.mark.parametrize("evaluate,coefficients,working", [
+        (node_reliability_s_form, lambda: family_node_coefficients("star", 60), lambda c: c.connected_counts),
+        (link_reliability, lambda: enumerate_link_coefficients(generate_er(9, 0.5, 4)), lambda c: c.kept_counts[::-1]),
+        (lambda c, p: exact_node_curve_source(c)(p), lambda: family_node_coefficients("star", 60),
+         lambda c: c.connected_counts),
+        (lambda c, p: exact_link_curve_source(c)(p), lambda: enumerate_link_coefficients(generate_er(9, 0.5, 4)),
+         lambda c: c.kept_counts[::-1]),
+    ], ids=["s-form", "link", "node-source", "link-source"])
+    def test_fractions_built_once_per_object(self, monkeypatch, evaluate, coefficients, working):
+        # the float fractions, N + 1 big-integer divisions, are built on the
+        # first evaluation and kept; the values are the mixture of the
+        # rebuilt fractions, clamped, to the bit
+        grid = probability_grid(101)
+        c = coefficients()
+        expected = [_clamp01(bernstein_mixture(exact._fractions(working(c)), p)) for p in grid]
+        built = []
+        fractions = exact._fractions
+        monkeypatch.setattr(exact, "_fractions", lambda counts: built.append(len(counts)) or fractions(counts))
+        assert [evaluate(c, p) for p in grid] == expected
+        assert len(built) == 1
+        # the object stays frozen, equal to a fresh one, hashable and picklable
+        fresh = coefficients()
+        assert c == fresh and hash(c) == hash(fresh) and pickle.loads(pickle.dumps(c)) == c
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.kind = "node"
+
+    def test_c_form_is_the_clamped_mixture(self, corpus, grid99, caplog):
+        # 1 - clamp(m) equals clamp(1 - m) bit for bit, and the clamp is logged
+        for label, g in corpus:
+            if g.num_nodes > 10:
+                continue
+            c = enumerate_node_coefficients(g)
+            for p in grid99:
+                reference = _clamp01(1.0 - bernstein_mixture(c.cut_fractions[::-1], p))
+                assert node_reliability_c_form(c, p) == reference, (label, p)
+        # every 10-node removal disconnects: the mixture of ones rounds above 1 at p = 0.01
+        ones = ReliabilityCoefficients.node(10, [0] * 11)
+        assert bernstein_mixture(ones.cut_fractions[::-1], 0.01) > 1.0
+        with caplog.at_level("DEBUG", logger="relpoly.exact"):
+            assert node_reliability_c_form(ones, 0.01) == 0.0
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == ["clamped curve value at p=0.01"]
 
 
 class TestClosedForms:

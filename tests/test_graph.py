@@ -161,7 +161,7 @@ def _builder_corpus():
         cases.append(pytest.param(math.prod(dims), _lattice_links(dims), id="lattice-" + "x".join(map(str, dims))))
     graphs = [("er-trailing-isolated", generate_er(100, 0.01, 6)), ("er", generate_er(300, 0.05, 3)),
               ("rgg", generate_rgg(300, 0.1, 2)), ("ba", generate_ba(200, 3, 4))]
-    graphs += [(f"{name}-{n}", builder(n)) for name, (builder, low) in FAMILIES.items() for n in (low, 9)]
+    graphs += [(f"{name}-{n}", builder(n)) for name, (builder, low, _) in FAMILIES.items() for n in (low, 9)]
     cases += [pytest.param(g.num_nodes, g.edges(), id=label) for label, g in graphs]
     return cases
 
@@ -740,7 +740,7 @@ def _saved_form_corpus():
     graphs += [(f"rgg-{n}-{r:.3g}", generate_rgg(n, r, seed)) for n, _, r, seed in cases]
     graphs += [("ba-200-3", generate_ba(200, 3, 4)), ("er-100-trailing-isolated", generate_er(100, 0.01, 6))]
     graphs += [("lattice-" + "x".join(map(str, dims)), generate_lattice(dims)) for dims in _LATTICE_DIMS]
-    graphs += [(f"{name}-{n}", builder(n)) for name, (builder, low) in FAMILIES.items() for n in (low, 9)]
+    graphs += [(f"{name}-{n}", builder(n)) for name, (builder, low, _) in FAMILIES.items() for n in (low, 9)]
     return [pytest.param(g, id=label) for label, g in graphs]
 
 

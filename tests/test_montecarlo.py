@@ -37,7 +37,7 @@ from relpoly import (
     star_graph,
 )
 from relpoly import bernstein_mixture, montecarlo
-from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _orders, _seed_words, mix_seed
+from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _order_blocks, _seed_words, mix_seed
 from oracle import (
     estimate_link_reliability_curve,
     forward_deletion_profile,
@@ -141,13 +141,14 @@ class TestProfiles:
         ([np.int64(2), np.int32(0), 1], True),
         ([True, 0, 2], True),  # bool is an int subclass
         ([0, 1, 3], False),
+        ([0, 1, 2**50], False),  # refused before any count of 2^50 ids is allocated
         ([0, 2, 2], False),
         ([0, 1.0, 2], False),
         ([0, np.float64(1), 2], False),
         ([0, 1, 2**63], False),  # beyond int64: ValueError, not OverflowError
         ([0, 1, -(2**64)], False),
-    ], ids=["numpy-ints", "bool", "out-of-range", "duplicate", "float", "numpy-float", "beyond-int64",
-            "below-int64"])
+    ], ids=["numpy-ints", "bool", "out-of-range", "far-out-of-range", "duplicate", "float", "numpy-float",
+            "beyond-int64", "below-int64"])
     @pytest.mark.parametrize("profile", [node_removal_profile, link_removal_profile])
     def test_order_elements(self, profile, order, accepted):
         if accepted:
@@ -248,6 +249,32 @@ class TestSweepsEqualOracle:
         node, link = _oracle_counts(g, 31, 120)
         assert estimate_node_cut_fractions(g, 120, 31, workers).counts == tuple(node)
         assert estimate_link_cut_fractions(g, 120, 31, workers).counts == tuple(link)
+
+
+# every sweep graph with links: each way of sweeping applies to it
+_WAY_GRAPHS = [(label, g) for label, g in SWEEP_GRAPHS if g.num_nodes >= 2 and g.num_links >= 1]
+
+
+@functools.cache
+def _way_oracle_counts(label, runs):
+    return _oracle_counts(dict(_WAY_GRAPHS)[label], 97, runs)
+
+
+class TestEveryWayEqualsOracle:
+    """_count_range with _sweep_way forced to each way in turn, whatever the
+    graph would take, against the plain kernels in tests/oracle.py: every
+    way turns the same orders into the same counts on any graph."""
+
+    RUNS = 40
+
+    @pytest.mark.parametrize("kind,way", [
+        ("node", "plain"), ("node", "numpy-start"), ("node", "block"), ("link", "numpy-start"), ("link", "block"),
+    ])
+    def test_forced_way(self, monkeypatch, kind, way):
+        monkeypatch.setattr(montecarlo, "_sweep_way", lambda kind, graph: way)
+        for label, g in _WAY_GRAPHS:
+            node, link = _way_oracle_counts(label, self.RUNS)
+            assert _count_range(kind, g, 97, 0, self.RUNS) == (node if kind == "node" else link), label
 
 
 def _dumbbell(k):
@@ -622,14 +649,17 @@ class TestSeedMixing:
 
     SEEDS = [0, 1, (1 << 64) - 1, -1, (1 << 70) + 3] + [mix_seed(2024, t) for t in range(200)]
 
-    def test_block_draw_is_per_run_shuffle(self):
+    @pytest.mark.parametrize("rows", [1, 2, _DRAW_BLOCK])
+    def test_block_draw_is_per_run_shuffle(self, rows):
         # draw k of run r is mix_seed(mix_seed(seed, r), k), however runs are
-        # grouped: from the stream's start, and mid-stream across a block boundary
+        # grouped and sliced: from the stream's start, and mid-stream across a
+        # block boundary
         for start, stop in ((0, 3), (_DRAW_BLOCK - 2, _DRAW_BLOCK + 3)):
             for n in range(1, 32):
                 for s in self.SEEDS:
                     expected = [splitmix_shuffle(n, mix_seed(s, r)) for r in range(start, stop)]
-                    assert list(_orders(n, s, start, stop, False)) == expected, (n, s, start)
+                    got = [perm for perms in _order_blocks(n, s, start, stop, rows) for perm in perms.tolist()]
+                    assert got == expected, (n, s, start)
 
     def test_seed_words_are_seed_sequence(self):
         seeds = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1] + [mix_seed(2024, t) for t in range(200)]
@@ -638,14 +668,15 @@ class TestSeedMixing:
         for s, row in zip(seeds, words):
             assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist(), s
 
-    @pytest.mark.parametrize("arrays", [False, True])
-    def test_large_block_draw_is_per_run_generator(self, arrays):
+    @pytest.mark.parametrize("rows", [1, 2, _DRAW_BLOCK])
+    def test_large_block_draw_is_per_run_generator(self, rows):
         # run r's order is Generator(PCG64(mix_seed(seed, r))).permutation(n),
-        # from the stream's start and mid-stream across a block boundary
+        # from the stream's start and mid-stream across a block boundary, in
+        # slices of any size; each slice is read before the next is drawn
         for start, stop in ((0, 3), (_DRAW_BLOCK - 2, _DRAW_BLOCK + 3)):
             for n in (32, 33, 67, 255, 256, 1000):
                 for s in self.SEEDS:
-                    got = [list(map(int, perm)) for perm in _orders(n, s, start, stop, arrays)]
+                    got = [perm for perms in _order_blocks(n, s, start, stop, rows) for perm in perms.tolist()]
                     assert got == [run_order(n, s, r) for r in range(start, stop)], (n, s, start)
 
 
