@@ -51,6 +51,18 @@ def _log_binomials(n: int):
     arr.setflags(write=False)
     return arr
 
+
+@lru_cache(maxsize=None)
+def _mixture_powers(n: int):
+    """The read-only exponents k = 0..n of p and n - k of 1 - p in a mixture of
+    order n, as floats: exact, and multiplied by a float with no cast."""
+    k = np.arange(n + 1.0)
+    rest = n - k
+    k.setflags(write=False)
+    rest.setflags(write=False)
+    return k, rest
+
+
 def bernstein_mixture(fractions, p: float) -> float:
     """sum_k f_k C(n,k) p^k (1-p)^(n-k) with n = len(fractions) - 1.
 
@@ -64,8 +76,8 @@ def bernstein_mixture(fractions, p: float) -> float:
         return float(fr[0])
     if p == 1.0:
         return float(fr[n])
-    k = np.arange(n + 1)
-    logw = _log_binomials(n) + k * math.log(p) + (n - k) * math.log1p(-p)
+    k, rest = _mixture_powers(n)
+    logw = _log_binomials(n) + k * math.log(p) + rest * math.log1p(-p)
     return float(np.dot(np.exp(logw), fr))
 
 

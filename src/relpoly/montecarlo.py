@@ -48,8 +48,10 @@ _DRAW_BLOCK runs at a time from those same per-run streams, so the orders
 do not depend on where a block or a worker's share begins, and turns them
 into counts in one loop, _counts. Orders of fewer than _SMALL_PERMUTATION
 elements are shuffled in numpy for the whole block. Larger ones come from
-numpy's PCG64 generator, one per run; only its seeding hash, which costs
-more than a mid-size shuffle, is computed in numpy for the whole block.
+numpy's PCG64 generator, one per run, shuffling its order in place; the
+SeedSequence hash of its seed, which costs more than a mid-size shuffle,
+is computed in numpy for the whole block, and numpy seeds each generator
+from its run's hashed words.
 
 With w workers the runs are split into contiguous shares of
 ceil(runs / w) runs, rounded up to whole draw blocks where runs are swept
@@ -78,21 +80,20 @@ from .graph import _MASK64, Graph, _label_components
 # every way reads its removal orders from _order_blocks, which draws them
 # _DRAW_BLOCK runs at a time. Below this size they come from a SplitMix64
 # Fisher-Yates shuffle, all in numpy (see _small_orders); from it up, from
-# numpy's PCG64 generator seeded per run, whose setup a small order cannot
-# repay, with the seeding hash of the whole block in numpy (see
-# _large_orders). A block's memory is O(_DRAW_BLOCK * n) below the size;
-# from it up, large orders are copied into one (rows, n) array of at most a
-# slice's rows, whatever the run count
+# numpy's PCG64 generator, one per run, whose setup a small order cannot
+# repay: the block's SeedSequence hash is one numpy pass (see _seed_words),
+# and numpy seeds each run's generator from its words (see _RunWords). A
+# block's memory is O(_DRAW_BLOCK * n) below the size; from it up, large
+# orders are shuffled in place in one (rows, n) array of at most a slice's
+# rows, whatever the run count
 _SMALL_PERMUTATION = 32
 _DRAW_BLOCK = 4096
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-# the constants of numpy's SeedSequence hash and PCG64's 128-bit multiplier
+# the constants of numpy's SeedSequence hash
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # link sweeps from this many links up start at the isolation bound (see
 # _link_threshold); below it the numpy setup costs more than it saves
 _LABEL_MIN_LINKS = 256
@@ -231,23 +232,22 @@ def _seed_words(run_seeds):
     return np.stack([words[k] | words[k + 1] << 32 for k in range(0, 8, 2)], axis=1)
 
 
-def _large_orders(n: int, seed: int, start: int, stop: int):
-    """Removal orders of runs start..stop-1 over n >= _SMALL_PERMUTATION elements.
+class _RunWords(np.random.bit_generator.ISeedSequence):
+    """One run's four _seed_words words as numpy's seeding protocol serves them.
 
-    Run r's order is Generator(PCG64(mix_seed(seed, r))).permutation(n).
-    The SeedSequence words of all the runs come at once from _seed_words;
-    PCG64's seeding (pcg_setseq_128_srandom_r in O'Neill's PCG, HMC-CS-2014-0905)
-    turns each run's words (w0, w1, w2, w3) into the 128-bit increment and
-    state below, which go into one reused generator through its public state.
+    PCG64 asks its seed sequence for four uint64 words and reads them from
+    the returned array's buffer, so `words` is a C-contiguous uint64 row;
+    PCG64(_RunWords(w)) then seeds itself as PCG64(run_seed) does from the
+    same words. Any other request is refused.
     """
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for w0, w1, w2, w3 in _seed_words(_run_seeds(seed, start, stop)).tolist():
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state["state"] = {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-        bit_generator.state = state
-        yield generator.permutation(n)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"run words hold 4 uint64 words, not {n_words} of {dtype}")
+        return self.words
 
 
 def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
@@ -255,9 +255,13 @@ def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
 
     Every way of sweeping runs reads its orders here (see _sweep_way). Each
     draw block of _DRAW_BLOCK runs comes in slices of at most `rows` runs.
-    A small block is sliced as _small_orders drew it; large orders are
-    copied row by row into one array reused for every slice, which is valid
-    until the next slice is asked for.
+    A small block is sliced as _small_orders drew it. Large orders are
+    drawn into one array reused for every slice, which is valid until the
+    next slice is asked for. Run r's order,
+    Generator(PCG64(mix_seed(seed, r))).permutation(dim), is 0..dim-1
+    shuffled, so each row is filled with 0..dim-1 and shuffled in place by
+    a generator that numpy seeds from the run's words, which _seed_words
+    hashes for the whole block at once.
     """
     buffer = None
     for at in range(start, stop, _DRAW_BLOCK):
@@ -269,11 +273,13 @@ def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
             continue
         if buffer is None:
             buffer = np.empty((min(rows, _DRAW_BLOCK, stop - start), dim), np.intp)
-        draws = _large_orders(dim, seed, at, end)
-        for i in range(at, end, rows):
-            slice_ = buffer[: min(rows, end - i)]
-            for j, perm in zip(range(len(slice_)), draws):
-                slice_[j] = perm
+            ids = np.arange(dim)
+        words = _seed_words(_run_seeds(seed, at, end))
+        for i in range(0, end - at, rows):
+            slice_ = buffer[: min(rows, end - at - i)]
+            slice_[:] = ids
+            for row, w in zip(slice_, words[i : i + len(slice_)]):
+                np.random.Generator(np.random.PCG64(_RunWords(w))).shuffle(row)
             yield slice_
 
 
@@ -617,12 +623,22 @@ def _sweep_way(kind: str, graph: Graph) -> str:
 
 
 def _check_order(order, size: int, what: str):
-    """`order` as an int64 array, if it is a permutation of 0..size-1."""
+    """`order` as an int64 array, if it is a permutation of 0..size-1.
+
+    A 1-D integer array is checked in numpy as it is; anything else is read
+    element by element through operator.index.
+    """
     message = f"removal order must be a permutation of all {what} ids"
     try:
-        order = np.fromiter(map(operator.index, order), np.int64)
-        # size ids below size that count every id; bincount refuses a negative one
-        if len(order) != size or order.max(initial=-1) >= size or not np.bincount(order, minlength=size).all():
+        if not (isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu"):
+            order = np.fromiter(map(operator.index, order), np.int64)
+        # size ids below size that count every id; the largest is compared
+        # before the cast, which would wrap a uint64 id of 2^63 or more, and
+        # bincount refuses a negative one
+        if len(order) != size or (size and order.max() >= size):
+            raise ValueError(message)
+        order = order.astype(np.int64, copy=False)
+        if not np.bincount(order, minlength=size).all():
             raise ValueError(message)
     except (TypeError, OverflowError, ValueError):  # not an integer, beyond int64, or negative
         raise ValueError(message) from None

@@ -37,7 +37,7 @@ from relpoly import (
     star_graph,
 )
 from relpoly import bernstein_mixture, montecarlo
-from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _order_blocks, _seed_words, mix_seed
+from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _order_blocks, _run_seeds, _seed_words, mix_seed
 from oracle import (
     estimate_link_reliability_curve,
     forward_deletion_profile,
@@ -147,8 +147,19 @@ class TestProfiles:
         ([0, np.float64(1), 2], False),
         ([0, 1, 2**63], False),  # beyond int64: ValueError, not OverflowError
         ([0, 1, -(2**64)], False),
+        (np.array([2, 0, 1], np.int8), True),
+        (np.array([2, 0, 1], np.uint64), True),
+        (np.array([2, 0, 1], object), True),
+        (np.array([True, False, True]), False),  # unlike a Python bool, a numpy bool is not an index
+        (np.array([2.0, 0.0, 1.0]), False),
+        (np.array([[2, 0, 1]]), False),
+        (np.array([0, 1, 2**63], np.uint64), False),  # refused, not wrapped to -2^63
+        (np.array([0, 1, 2**64 - 1], np.uint64), False),
+        (np.array([0, 1, -1], np.int8), False),
+        (np.array([0, 1, 1], np.uint8), False),
     ], ids=["numpy-ints", "bool", "out-of-range", "far-out-of-range", "duplicate", "float", "numpy-float",
-            "beyond-int64", "below-int64"])
+            "beyond-int64", "below-int64", "int8-array", "uint64-array", "object-array", "bool-array",
+            "float-array", "2d-array", "uint64-2^63", "uint64-max", "negative-int8", "duplicate-uint8"])
     @pytest.mark.parametrize("profile", [node_removal_profile, link_removal_profile])
     def test_order_elements(self, profile, order, accepted):
         if accepted:
@@ -668,13 +679,30 @@ class TestSeedMixing:
         for s, row in zip(seeds, words):
             assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist(), s
 
+    @pytest.mark.parametrize("asked", [(4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])
+    def test_run_words_serve_only_pcg64(self, asked):
+        words = _seed_words(_run_seeds(1, 0, 1))[0]
+        assert montecarlo._RunWords(words).generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            montecarlo._RunWords(words).generate_state(*asked)
+
+    def test_run_words_seed_as_the_run_seed(self):
+        # numpy seeds PCG64 from the hashed words as from the run seed itself:
+        # for negative roots, roots of 2^64 and more, and across a block boundary
+        for s in [-(2**64) - 5, 1 << 64] + self.SEEDS[:25]:
+            for start, stop in ((0, 3), (_DRAW_BLOCK - 2, _DRAW_BLOCK + 3)):
+                words = _seed_words(_run_seeds(s, start, stop))
+                for r, w in zip(range(start, stop), words):
+                    expected = np.random.PCG64(mix_seed(s, r)).state
+                    assert np.random.PCG64(montecarlo._RunWords(w)).state == expected, (s, r)
+
     @pytest.mark.parametrize("rows", [1, 2, _DRAW_BLOCK])
     def test_large_block_draw_is_per_run_generator(self, rows):
         # run r's order is Generator(PCG64(mix_seed(seed, r))).permutation(n),
         # from the stream's start and mid-stream across a block boundary, in
         # slices of any size; each slice is read before the next is drawn
         for start, stop in ((0, 3), (_DRAW_BLOCK - 2, _DRAW_BLOCK + 3)):
-            for n in (32, 33, 67, 255, 256, 1000):
+            for n in (32, 33, 67, 255, 256, 1000, 4097):  # 4097: one-row slices in _count_range
                 for s in self.SEEDS:
                     got = [perm for perms in _order_blocks(n, s, start, stop, rows) for perm in perms.tolist()]
                     assert got == [run_order(n, s, r) for r in range(start, stop)], (n, s, start)
