@@ -44,23 +44,19 @@ _log = logging.getLogger(__name__)
 
 
 @lru_cache(maxsize=None)
-def _log_binomials(n: int):
-    lg = [math.lgamma(k + 1) for k in range(n + 1)]
+def _mixture_terms(n: int):
+    """log C(n,k), k and n - k for k = 0..n, as read-only float arrays.
+
+    The exponents are floats, exact below 2^53, so a product with a float
+    needs no cast on each call.
+    """
+    lg = [math.lgamma(j + 1) for j in range(n + 1)]
     top = lg[n]
-    arr = np.array([top - lg[k] - lg[n - k] for k in range(n + 1)])
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=None)
-def _mixture_powers(n: int):
-    """The read-only exponents k = 0..n of p and n - k of 1 - p in a mixture of
-    order n, as floats: exact, and multiplied by a float with no cast."""
     k = np.arange(n + 1.0)
-    rest = n - k
-    k.setflags(write=False)
-    rest.setflags(write=False)
-    return k, rest
+    terms = (np.array([top - lg[j] - lg[n - j] for j in range(n + 1)]), k, n - k)
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
 
 
 def bernstein_mixture(fractions, p: float) -> float:
@@ -76,8 +72,8 @@ def bernstein_mixture(fractions, p: float) -> float:
         return float(fr[0])
     if p == 1.0:
         return float(fr[n])
-    k, rest = _mixture_powers(n)
-    logw = _log_binomials(n) + k * math.log(p) + rest * math.log1p(-p)
+    log_binomials, k, rest = _mixture_terms(n)
+    logw = log_binomials + k * math.log(p) + rest * math.log1p(-p)
     return float(np.dot(np.exp(logw), fr))
 
 

@@ -233,21 +233,26 @@ def _seed_words(run_seeds):
 
 
 class _RunWords(np.random.bit_generator.ISeedSequence):
-    """One run's four _seed_words words as numpy's seeding protocol serves them.
+    """A block's _seed_words words, served to numpy's seeding protocol one run at a time.
 
     PCG64 asks its seed sequence for four uint64 words and reads them from
-    the returned array's buffer, so `words` is a C-contiguous uint64 row;
-    PCG64(_RunWords(w)) then seeds itself as PCG64(run_seed) does from the
-    same words. Any other request is refused.
+    the returned array's buffer. The words are kept as a C-contiguous
+    (runs, 4) uint64 array, so the row of run `run` is such a buffer, and
+    PCG64(_RunWords(words)) seeds itself from it as PCG64(run_seed) does
+    from the same words. Any other request is refused.
     """
 
     def __init__(self, words):
+        words = np.ascontiguousarray(words, np.uint64)
+        if words.ndim != 2 or words.shape[1] != 4:
+            raise ValueError(f"run words come as rows of 4, not in shape {words.shape}")
         self.words = words
+        self.run = 0
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or dtype is not np.uint64:
             raise ValueError(f"run words hold 4 uint64 words, not {n_words} of {dtype}")
-        return self.words
+        return self.words[self.run]
 
 
 def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
@@ -274,12 +279,13 @@ def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
         if buffer is None:
             buffer = np.empty((min(rows, _DRAW_BLOCK, stop - start), dim), np.intp)
             ids = np.arange(dim)
-        words = _seed_words(_run_seeds(seed, at, end))
+        seeds = _RunWords(_seed_words(_run_seeds(seed, at, end)))
         for i in range(0, end - at, rows):
             slice_ = buffer[: min(rows, end - at - i)]
             slice_[:] = ids
-            for row, w in zip(slice_, words[i : i + len(slice_)]):
-                np.random.Generator(np.random.PCG64(_RunWords(w))).shuffle(row)
+            for run, row in enumerate(slice_, i):
+                seeds.run = run
+                np.random.Generator(np.random.PCG64(seeds)).shuffle(row)
             yield slice_
 
 
@@ -623,22 +629,12 @@ def _sweep_way(kind: str, graph: Graph) -> str:
 
 
 def _check_order(order, size: int, what: str):
-    """`order` as an int64 array, if it is a permutation of 0..size-1.
-
-    A 1-D integer array is checked in numpy as it is; anything else is read
-    element by element through operator.index.
-    """
+    """`order` as an int64 array, if it is a permutation of 0..size-1."""
     message = f"removal order must be a permutation of all {what} ids"
     try:
-        if not (isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu"):
-            order = np.fromiter(map(operator.index, order), np.int64)
-        # size ids below size that count every id; the largest is compared
-        # before the cast, which would wrap a uint64 id of 2^63 or more, and
-        # bincount refuses a negative one
-        if len(order) != size or (size and order.max() >= size):
-            raise ValueError(message)
-        order = order.astype(np.int64, copy=False)
-        if not np.bincount(order, minlength=size).all():
+        order = np.fromiter(map(operator.index, order), np.int64)
+        # size ids below size that count every id; bincount refuses a negative one
+        if len(order) != size or order.max(initial=-1) >= size or not np.bincount(order, minlength=size).all():
             raise ValueError(message)
     except (TypeError, OverflowError, ValueError):  # not an integer, beyond int64, or negative
         raise ValueError(message) from None

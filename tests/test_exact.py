@@ -391,18 +391,18 @@ class TestEvaluation:
         assert [r.getMessage().split(";")[0] for r in caplog.records] == ["clamped curve value at p=0.01"]
 
     def test_mixture_equals_the_uncached_expression(self):
-        # the exponents are cached per n, read-only; the sum is the one formed
-        # from a fresh integer arange, bit for bit
+        # log C(n,k) and the exponents are cached per n, read-only; the sum is
+        # the one formed from a fresh integer arange, bit for bit
         rng = np.random.default_rng(2)
         grid = probability_grid(101)
         for n in (8, 9, 18, 40, 67, 200, 1000, 6925):
-            k, rest = exact._mixture_powers(n)
-            assert not k.flags.writeable and not rest.flags.writeable
+            log_binomials, k, rest = exact._mixture_terms(n)
+            assert not any(arr.flags.writeable for arr in (log_binomials, k, rest))
             for _ in range(2):
                 fr = rng.random(n + 1)
                 ints = np.arange(n + 1)
                 for p in grid[1:-1]:
-                    logw = exact._log_binomials(n) + ints * math.log(p) + (n - ints) * math.log1p(-p)
+                    logw = log_binomials + ints * math.log(p) + (n - ints) * math.log1p(-p)
                     assert bernstein_mixture(fr, p) == float(np.dot(np.exp(logw), fr)), (n, p)
             assert bernstein_mixture(fr, 0.0) == fr[0] and bernstein_mixture(fr, 1.0) == fr[n]
 

@@ -681,20 +681,36 @@ class TestSeedMixing:
 
     @pytest.mark.parametrize("asked", [(4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])
     def test_run_words_serve_only_pcg64(self, asked):
-        words = _seed_words(_run_seeds(1, 0, 1))[0]
-        assert montecarlo._RunWords(words).generate_state(4, np.uint64) is words
+        words = _seed_words(_run_seeds(1, 0, 3))
+        seeds = montecarlo._RunWords(words)
+        seeds.run = 2
+        assert seeds.generate_state(4, np.uint64).tolist() == words[2].tolist()
         with pytest.raises(ValueError, match="4 uint64 words"):
-            montecarlo._RunWords(words).generate_state(*asked)
+            seeds.generate_state(*asked)
+
+    def test_run_words_hold_contiguous_uint64_rows(self):
+        # whatever the block's layout or integer dtype, each row PCG64 reads is
+        # 4 uint64 words holding its values; rows not of 4 are refused
+        words = _seed_words(_run_seeds(1, 0, 3))
+        small = np.arange(12, dtype=np.uint32).reshape(3, 4)
+        for block in (np.asfortranarray(words), np.repeat(words, 2, axis=0)[::2], small):
+            seeds = montecarlo._RunWords(block)
+            assert seeds.words.flags.c_contiguous and seeds.words.dtype == np.uint64
+            assert seeds.words.tolist() == block.tolist()
+        for bad in (words[:, :3], words.ravel(), words[None]):
+            with pytest.raises(ValueError, match="rows of 4"):
+                montecarlo._RunWords(bad)
 
     def test_run_words_seed_as_the_run_seed(self):
         # numpy seeds PCG64 from the hashed words as from the run seed itself:
         # for negative roots, roots of 2^64 and more, and across a block boundary
         for s in [-(2**64) - 5, 1 << 64] + self.SEEDS[:25]:
             for start, stop in ((0, 3), (_DRAW_BLOCK - 2, _DRAW_BLOCK + 3)):
-                words = _seed_words(_run_seeds(s, start, stop))
-                for r, w in zip(range(start, stop), words):
+                seeds = montecarlo._RunWords(_seed_words(_run_seeds(s, start, stop)))
+                for run, r in enumerate(range(start, stop)):
+                    seeds.run = run
                     expected = np.random.PCG64(mix_seed(s, r)).state
-                    assert np.random.PCG64(montecarlo._RunWords(w)).state == expected, (s, r)
+                    assert np.random.PCG64(seeds).state == expected, (s, r)
 
     @pytest.mark.parametrize("rows", [1, 2, _DRAW_BLOCK])
     def test_large_block_draw_is_per_run_generator(self, rows):
