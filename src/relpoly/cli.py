@@ -212,8 +212,7 @@ def _cmd_exact(args):
     graph, label = _load_graph(args)
     grid = _grid_from(args)
     coeffs = _coefficients(args, graph, args.kind)
-    by_kind = {"node": exact.node_reliability_s_form, "link": exact.link_reliability}
-    values = tuple(by_kind[args.kind](coeffs, p) for p in grid)
+    values = exact._reliability_values(coeffs, args.kind, grid)
     if args.coeffs_out:
         _write(args.coeffs_out, coeffs.to_json())
     curve = Curve(grid, values, {"method": "exact", "kind": args.kind})

@@ -18,6 +18,15 @@ rather than with the 2^N node subsets or 2^L link subsets; the states stay
 few on narrow graphs and on dense ones. Link counts are the node counts of
 the subdivided graph, where every link becomes a node that may fail between
 two ends that may not. N (or L) above the cap, 24 by default, is refused.
+
+Float values come from the binomial mixture of the count fractions, formed
+in log space. A whole grid of p is evaluated at once: its interior points
+go through in blocks of rows of about 2^14 cells, one exp per block and one
+dot per row, so a small n pays numpy's per-call cost once a block rather
+than once a point. Each cell is made by the same float operations a single
+p makes, and each row's dot reads one contiguous row, so every value is
+the one-point mixture to the bit. Exact values at a rational p = a/b are
+one integer sum over b^n, taken by Horner's rule.
 """
 
 from __future__ import annotations
@@ -59,47 +68,86 @@ def _mixture_terms(n: int):
     return terms
 
 
-def bernstein_mixture(fractions, p: float) -> float:
-    """sum_k f_k C(n,k) p^k (1-p)^(n-k) with n = len(fractions) - 1.
+# Interior rows of log weights are formed a block of about this many cells
+# at a time: one exp per block amortizes numpy's per-call cost over the rows
+# of a small n, and a bounded block keeps a large n's temporaries small.
+_BLOCK_CELLS = 1 << 14
+
+
+def _mixture(fractions, grid) -> list:
+    """sum_k f_k C(n,k) p^k (1-p)^(n-k) for each p of the grid, n = len(fractions) - 1.
 
     Weights are formed in log space so the mixture stays finite for any n,
-    which matters once n reaches the hundreds.
+    which matters once n reaches the hundreds. Every p is checked before any
+    value is computed; p = 0 and p = 1 read f_0 and f_n. The interior rows,
+    log C(n,k) + k log p + (n-k) log1p(-p) from the scalar logs of their p,
+    go through a block of about _BLOCK_CELLS cells at a time, one exp per
+    block and one dot per row, to the same bits as one p at a time (see the
+    module docstring).
     """
-    _check_probability(p)
+    ps = []
+    for p in grid:
+        _check_probability(p)
+        ps.append(float(p))
     fr = np.asarray(fractions, dtype=float)
     n = fr.size - 1
-    if p == 0.0:
-        return float(fr[0])
-    if p == 1.0:
-        return float(fr[n])
+    values = [float(fr[0]) if p == 0.0 else float(fr[n]) if p == 1.0 else None for p in ps]
+    inner = [i for i, p in enumerate(ps) if 0.0 < p < 1.0]
+    if not inner:
+        return values
     log_binomials, k, rest = _mixture_terms(n)
-    logw = log_binomials + k * math.log(p) + rest * math.log1p(-p)
-    return float(np.dot(np.exp(logw), fr))
+    rows = min(len(inner), max(1, _BLOCK_CELLS // (n + 1)))
+    logw = np.empty((rows, n + 1))
+    part = np.empty((rows, n + 1))
+    for start in range(0, len(inner), rows):
+        block = inner[start:start + rows]
+        w, q = logw[: len(block)], part[: len(block)]
+        logs = np.array([(math.log(ps[i]), math.log1p(-ps[i])) for i in block])
+        np.multiply(logs[:, :1], k, out=w)
+        w += log_binomials
+        np.multiply(logs[:, 1:], rest, out=q)
+        w += q
+        np.exp(w, out=w)
+        for i, row in zip(block, w):
+            values[i] = float(np.dot(row, fr))
+    return values
+
+
+def bernstein_mixture(fractions, p: float) -> float:
+    """sum_k f_k C(n,k) p^k (1-p)^(n-k) with n = len(fractions) - 1, unclamped.
+
+    The one-point case of the grid mixture: a block of one row. A point of
+    a longer grid gets the same value, as its row is formed by the same
+    float operations and summed by the same dot.
+    """
+    return _mixture(fractions, (p,))[0]
 
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def _mixture_curve(fractions):
-    """p -> bernstein_mixture(fractions, p) clamped to [0, 1], each clamp logged
-    at debug level; the fractions become a float array once, not once per p."""
-    fr = np.asarray(fractions, dtype=float)
-
-    def value(p):
-        raw = bernstein_mixture(fr, float(p))
-        if 0.0 <= raw <= 1.0:
-            return raw
-        _log.debug("clamped curve value at p=%.17g; raw %.17g", p, raw)
-        return _clamp01(raw)
-
-    return value
+def _curve_values(fractions, grid) -> tuple:
+    """The mixture on the grid clamped to [0, 1], each clamp logged at debug
+    level, in grid order."""
+    values = _mixture(fractions, grid)
+    for i, (p, raw) in enumerate(zip(grid, values)):
+        if not 0.0 <= raw <= 1.0:
+            _log.debug("clamped curve value at p=%.17g; raw %.17g", p, raw)
+            values[i] = _clamp01(raw)
+    return tuple(values)
 
 
 def _fractions(counts) -> tuple:
     """counts[j] / C(n, j) for j = 0..n, with n = len(counts) - 1."""
     n = len(counts) - 1
     return tuple(c / math.comb(n, j) for j, c in enumerate(counts))
+
+
+def _read_only(values):
+    arr = np.array(values)
+    arr.setflags(write=False)
+    return arr
 
 
 def _complements(counts, what: str) -> tuple:
@@ -159,9 +207,13 @@ class ReliabilityCoefficients:
         working counts W_k are S_k for nodes and F_(L-k) for links. Caching
         an array leaves the object frozen, equal and picklable."""
         working = self.connected_counts if self.kind == "node" else self.kept_counts[::-1]
-        fractions = np.array(_fractions(working))
-        fractions.setflags(write=False)
-        return fractions
+        return _read_only(_fractions(working))
+
+    @cached_property
+    def _reversed_cut_fractions(self):
+        """c_(n-j) for j = 0..n, the C-form's mixture fractions, as a
+        read-only float array built on first use."""
+        return _read_only(_fractions(self.cut_counts)[::-1])
 
     def to_json(self) -> str:
         payload = {"N": self.num_nodes, "kind": self.kind}
@@ -331,23 +383,36 @@ def enumerate_link_coefficients(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 # polynomial evaluation
 
 
-def _reliability(coeffs: ReliabilityCoefficients, kind: str, p, exact: bool = False):
-    """sum_k W_k p^k (1-p)^(n-k) over the counts W_k of connected configurations
-    with k working elements: S_k for nodes (n = N), F_(L-k) for links (n = L).
-
-    Floats go through the binomial-fraction form, clamped to [0, 1]; `exact`
-    sums in rational arithmetic (p may be a Fraction).
+def _reliability_values(coeffs: ReliabilityCoefficients, kind: str, grid) -> tuple:
+    """sum_k W_k p^k (1-p)^(n-k) at each p of the grid, over the counts W_k of
+    connected configurations with k working elements: S_k for nodes (n = N),
+    F_(L-k) for links (n = L). Evaluated through the binomial-fraction form,
+    clamped to [0, 1].
     """
     if coeffs.kind != kind:
         raise ValueError(f"{kind}-kind coefficients required")
+    return _curve_values(coeffs._working_fractions, grid)
+
+
+def _reliability(coeffs: ReliabilityCoefficients, kind: str, p, exact: bool = False):
+    """The reliability at one p; `exact` gives the rational value instead
+    (p may be a Fraction). For p = a/b in lowest terms that value is
+    Fraction(sum_k W_k a^k (b-a)^(n-k), b^n), whose integer sum is taken
+    by Horner's rule in a, one power of b - a per step.
+    """
     if not exact:
-        return _mixture_curve(coeffs._working_fractions)(p)
+        return _reliability_values(coeffs, kind, (p,))[0]
+    if coeffs.kind != kind:
+        raise ValueError(f"{kind}-kind coefficients required")
     working = coeffs.connected_counts if kind == "node" else coeffs.kept_counts[::-1]
     _check_probability(p)
     p = Fraction(p)
-    q = 1 - p
-    n = len(working) - 1
-    return sum(w * p**k * q ** (n - k) for k, w in enumerate(working) if w)
+    a, b = p.numerator, p.denominator
+    total, power = 0, 1  # power = (b-a)^(n-k) for the k of the step
+    for w in reversed(working):
+        total = total * a + w * power
+        power *= b - a
+    return Fraction(total, b ** (len(working) - 1))
 
 
 def node_reliability_s_form(coeffs: ReliabilityCoefficients, p: float) -> float:
@@ -359,7 +424,7 @@ def node_reliability_c_form(coeffs: ReliabilityCoefficients, p: float) -> float:
     """1 - sum_j C_j p^(N-j) (1-p)^j; must agree with the S-form."""
     if coeffs.kind != "node":
         raise ValueError("node-kind coefficients required")
-    return 1.0 - _mixture_curve(coeffs.cut_fractions[::-1])(p)
+    return 1.0 - _curve_values(coeffs._reversed_cut_fractions, (p,))[0]
 
 
 def link_reliability(coeffs: ReliabilityCoefficients, p: float) -> float:

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve, _check_probability
-from .exact import ReliabilityCoefficients, _clamp01, _mixture_curve
+from .exact import ReliabilityCoefficients, _clamp01, _curve_values
 from .graph import _MASK64, Graph, _label_components
 
 # every way reads its removal orders from _order_blocks, which draws them
@@ -824,20 +824,27 @@ def estimate_link_cut_fractions(
 # curves from estimated (or exact) fractions
 
 
-def _estimate_curve(est: CutFractionEstimate):
-    """p -> 1 - sum_j C(n,j) c_j p^(n-j) (1-p)^j for the estimate, clamped to [0, 1].
+def _estimate_fractions(est: CutFractionEstimate):
+    """The complement fractions 1 - c_(n-j) of the estimate, j = 0..n.
 
-    The value is taken as the complement mixture
-    sum_j C(n,j) (1-c_j) p^(n-j) (1-p)^j: summing nonnegative terms avoids
-    the cancellation dirt that x^p would otherwise blow up near zero.
+    A curve is 1 - sum_j C(n,j) c_j p^(n-j) (1-p)^j, taken as the
+    complement mixture sum_j C(n,j) (1-c_j) p^(n-j) (1-p)^j: summing
+    nonnegative terms avoids the cancellation dirt that x^p would otherwise
+    blow up near zero.
     """
-    return _mixture_curve(1.0 - np.array(est.counts[::-1], dtype=float) / est.runs)
+    return 1.0 - np.array(est.counts[::-1], dtype=float) / est.runs
+
+
+def _estimate_curve(est: CutFractionEstimate):
+    """p -> the estimate's curve value at p, clamped to [0, 1]."""
+    fractions = _estimate_fractions(est)
+    return lambda p: _curve_values(fractions, (p,))[0]
 
 
 def _reliability_curve(est: CutFractionEstimate, grid, kind: str) -> Curve:
     if est.kind != kind:
         raise ValueError(f"{kind}-kind estimate required")
-    values = tuple(map(_estimate_curve(est), grid))
+    values = _curve_values(_estimate_fractions(est), grid)
     meta = {"method": "mc", "kind": kind, "runs": est.runs, "seed": est.seed}
     return Curve(tuple(grid), values, meta)
 

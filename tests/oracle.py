@@ -9,7 +9,9 @@ So are the two link-addition searches, the library's former pair scan and
 its draw from a table of every unlinked pair, and the two random-graph
 generators that built every candidate pair at once, and the two mask loops
 that checked all 2^N node subsets and all 2^L link subsets before the
-frontier dynamic program replaced them, and the partition DP over links
+frontier dynamic program replaced them, and the one-point binomial mixture
+that evaluated each curve point before a grid's points were evaluated a
+block at a time, and the partition DP over links
 that counted link sets before the node DP on the subdivided graph took
 over, and the per-node sets that
 built every graph's adjacency before one numpy sort of all links replaced
@@ -23,6 +25,7 @@ curve estimate.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import index
 
@@ -226,6 +229,27 @@ def direct_c_form_polynomial(c_counts, p):
 def direct_link_polynomial(f_counts, p):
     l = len(f_counts) - 1
     return sum(f * (1 - p) ** j * p ** (l - j) for j, f in enumerate(f_counts))
+
+
+def point_mixture(fractions, p):
+    """The library's former one-point Bernstein mixture, kept as the reference
+    its grid evaluation must equal bit for bit: one p's log weights
+    log C(n,k) + k log p + (n-k) log1p(-p), one exp and one dot."""
+    fr = np.asarray(fractions, dtype=float)
+    n = fr.size - 1
+    if p == 0.0:
+        return float(fr[0])
+    if p == 1.0:
+        return float(fr[n])
+    k = np.arange(n + 1.0)
+    logw = _log_binomials(n) + k * math.log(p) + (n - k) * math.log1p(-p)
+    return float(np.dot(np.exp(logw), fr))
+
+
+@lru_cache(maxsize=None)
+def _log_binomials(n):
+    lg = [math.lgamma(j + 1) for j in range(n + 1)]
+    return np.array([lg[n] - lg[j] - lg[n - j] for j in range(n + 1)])
 
 
 def laplace_s_form(cut_fractions, p):

@@ -31,7 +31,13 @@ from relpoly import (
     star_graph,
 )
 from relpoly.cutset import _solve
-from oracle import brute_cut_counts, gauss_jordan_solve, probe_matrix
+from oracle import (
+    brute_cut_counts,
+    direct_link_polynomial,
+    direct_node_polynomial,
+    gauss_jordan_solve,
+    probe_matrix,
+)
 
 
 def exact_system(graph):
@@ -105,6 +111,40 @@ class TestExactRecovery:
         rec = recover_cut_counts(exact_system(path_graph(4)), rounding=False)
         assert rec.counts == rec.raw
         assert not rec.rounded
+
+
+class TestExactProbeValues:
+    """Exact probe values, summed in integers, against the plain Fraction sums
+    of tests/oracle.py, over the whole corpus."""
+
+    @staticmethod
+    def probes(n: int) -> list:
+        rng = random.Random(n)
+        drawn = [Fraction(rng.randrange(1, 10**6), 10**6 + rng.randrange(1, 10**3)) for _ in range(20)]
+        return [0, 1, Fraction(0), Fraction(1), *default_probes(n), *drawn]
+
+    @staticmethod
+    def check(label, n, source, polynomial, counts, expected_cuts):
+        for p in TestExactProbeValues.probes(n):
+            value = source(p)
+            assert isinstance(value, Fraction) and value == polynomial(counts, Fraction(p)), (label, p)
+        # the recovery from the library's probe values is the one from the oracle's
+        rec = recover_cut_counts(build_probe_system(n, source))
+        assert rec == recover_cut_counts(build_probe_system(n, lambda p: polynomial(counts, p))), label
+        assert list(rec.counts) == expected_cuts and rec.max_rounding_deviation == 0.0, label
+
+    def test_node(self, corpus):
+        for label, g in corpus:
+            c = enumerate_node_coefficients(g)
+            self.check(label, g.num_nodes, exact_node_curve_source(c), direct_node_polynomial,
+                       c.connected_counts, list(c.cut_counts))
+
+    def test_link(self, corpus):
+        for label, g in corpus:
+            l = g.num_links
+            c = enumerate_link_coefficients(g, cap=l)
+            expected = [math.comb(l, j) - f for j, f in enumerate(c.kept_counts)]
+            self.check(label, l, exact_link_curve_source(c), direct_link_polynomial, c.kept_counts, expected)
 
 
 class TestFloatRecovery:

@@ -52,7 +52,13 @@ from oracle import (
     node_curve_value_exact,
     partition_link_counts,
     path_rational_form,
+    point_mixture,
 )
+
+
+def clamped_mixture(counts, p):
+    """The mixture of counts[k] / C(n,k), fractions rebuilt on each call, clamped."""
+    return _clamp01(bernstein_mixture(exact._fractions(counts), p))
 
 
 class TestNodeEnumeration:
@@ -348,25 +354,29 @@ class TestEvaluation:
         c = enumerate_node_coefficients(path_graph(3))
         assert node_curve_value_exact(c, Fraction(1, 2)) == Fraction(3, 4)
 
-    @pytest.mark.parametrize("evaluate,coefficients,working", [
-        (node_reliability_s_form, lambda: family_node_coefficients("star", 60), lambda c: c.connected_counts),
-        (link_reliability, lambda: enumerate_link_coefficients(generate_er(9, 0.5, 4)), lambda c: c.kept_counts[::-1]),
+    @pytest.mark.parametrize("evaluate,coefficients,expected", [
+        (node_reliability_s_form, lambda: family_node_coefficients("star", 60),
+         lambda c, p: clamped_mixture(c.connected_counts, p)),
+        (link_reliability, lambda: enumerate_link_coefficients(generate_er(9, 0.5, 4)),
+         lambda c, p: clamped_mixture(c.kept_counts[::-1], p)),
         (lambda c, p: exact_node_curve_source(c)(p), lambda: family_node_coefficients("star", 60),
-         lambda c: c.connected_counts),
+         lambda c, p: clamped_mixture(c.connected_counts, p)),
         (lambda c, p: exact_link_curve_source(c)(p), lambda: enumerate_link_coefficients(generate_er(9, 0.5, 4)),
-         lambda c: c.kept_counts[::-1]),
-    ], ids=["s-form", "link", "node-source", "link-source"])
-    def test_fractions_built_once_per_object(self, monkeypatch, evaluate, coefficients, working):
+         lambda c, p: clamped_mixture(c.kept_counts[::-1], p)),
+        (node_reliability_c_form, lambda: family_node_coefficients("star", 60),
+         lambda c, p: 1.0 - clamped_mixture(c.cut_counts[::-1], p)),
+    ], ids=["s-form", "link", "node-source", "link-source", "c-form"])
+    def test_fractions_built_once_per_object(self, monkeypatch, evaluate, coefficients, expected):
         # the float fractions, N + 1 big-integer divisions, are built on the
         # first evaluation and kept; the values are the mixture of the
         # rebuilt fractions, clamped, to the bit
         grid = probability_grid(101)
         c = coefficients()
-        expected = [_clamp01(bernstein_mixture(exact._fractions(working(c)), p)) for p in grid]
+        values = [expected(c, p) for p in grid]
         built = []
         fractions = exact._fractions
         monkeypatch.setattr(exact, "_fractions", lambda counts: built.append(len(counts)) or fractions(counts))
-        assert [evaluate(c, p) for p in grid] == expected
+        assert [evaluate(c, p) for p in grid] == values
         assert len(built) == 1
         # the object stays frozen, equal to a fresh one, hashable and picklable
         fresh = coefficients()
@@ -405,6 +415,76 @@ class TestEvaluation:
                     logw = log_binomials + ints * math.log(p) + (n - ints) * math.log1p(-p)
                     assert bernstein_mixture(fr, p) == float(np.dot(np.exp(logw), fr)), (n, p)
             assert bernstein_mixture(fr, 0.0) == fr[0] and bernstein_mixture(fr, 1.0) == fr[n]
+
+
+def interior_grid(count: int) -> tuple:
+    return tuple((i + 1) / (count + 1) for i in range(count))
+
+
+class TestGridMixture:
+    """The grid mixture against the former one-point expression, kept in
+    tests/oracle.py, bit for bit."""
+
+    EDGE_GRID = (0.0, 5e-324, 0.25, 0.5, 1 - 2**-53, 1.0)
+
+    @staticmethod
+    def check(fr, grid):
+        assert exact._mixture(fr, grid) == [point_mixture(fr, p) for p in grid], (fr.size - 1, len(grid))
+
+    def test_random_fractions(self):
+        rng = np.random.default_rng(26)
+        for n in (*range(1, 81), 600, 1000, 6925):
+            fr = rng.random(n + 1)
+            for grid in (probability_grid(101), probability_grid(1001), self.EDGE_GRID):
+                self.check(fr, grid)
+
+    def test_row_counts_around_a_block_boundary(self):
+        # 2^14 cells hold 399 rows of n = 40; the grids end one row short of,
+        # on, and one row past a block
+        rows = exact._BLOCK_CELLS // 41
+        fr = np.random.default_rng(27).random(41)
+        for count in (rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1):
+            self.check(fr, interior_grid(count))
+            self.check(fr, (0.0, *interior_grid(count), 1.0))
+
+    @pytest.mark.parametrize("cells", [1, 41, 2**12, 2**18])
+    def test_any_block_size(self, monkeypatch, cells):
+        monkeypatch.setattr(exact, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(28)
+        for n in (8, 40, 67, 1000):
+            self.check(rng.random(n + 1), probability_grid(101))
+
+    def test_one_point_case(self):
+        fr = np.random.default_rng(29).random(68)
+        for p in self.EDGE_GRID:
+            assert bernstein_mixture(fr, p) == point_mixture(fr, p) == exact._mixture(fr, (p,))[0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.25, -5e-324, 1.5])
+    def test_bad_p_raises_before_any_value(self, monkeypatch, caplog, bad):
+        # the points ahead of the bad one would clamp and log
+        terms = []
+        monkeypatch.setattr(exact, "_mixture_terms", lambda n: terms.append(n))
+        with caplog.at_level("DEBUG", logger="relpoly.exact"):
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+                exact._curve_values(np.ones(11), (0.01, 0.02, bad, 0.5))
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+                bernstein_mixture(np.ones(11), bad)
+        assert terms == [] and caplog.records == []
+
+    def test_each_clamp_logs_one_record_in_grid_order(self, caplog):
+        # below 0 near p = 0 and above 1 near p = 1
+        fr = np.ones(11)
+        fr[0] = -1.0
+        grid = probability_grid(101)
+        raw = [point_mixture(fr, p) for p in grid]
+        with caplog.at_level("DEBUG", logger="relpoly.exact"):
+            values = exact._curve_values(fr, grid)
+        assert values == tuple(_clamp01(x) for x in raw)
+        clamped = [(p, x) for p, x in zip(grid, raw) if not 0.0 <= x <= 1.0]
+        assert min(x for _, x in clamped) < 0.0 < 1.0 < max(x for _, x in clamped)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("relpoly.exact", f"clamped curve value at p={p:.17g}; raw {x:.17g}") for p, x in clamped
+        ]
 
 
 class TestClosedForms:
