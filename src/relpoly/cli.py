@@ -318,13 +318,13 @@ def _cmd_cutsets(args):
 
 def _cmd_kgrip(args):
     graph, label = _load_graph(args)
+    before = kgrip.objective(graph, args.p)  # refuses a bad --p before any plan is built
     if args.strategy == "lowest":
         new_graph, plan = kgrip.greedy_lowest_degree_addition(graph, args.k)
     elif args.strategy == "highest":
         new_graph, plan = kgrip.highest_degree_addition(graph, args.k)
     else:
         new_graph, plan = kgrip.random_pairing_addition(graph, args.k, args.seed)
-    before = kgrip.objective(graph, args.p)
     after = kgrip.objective(new_graph, args.p)
     payload = json.loads(plan.to_json())
     payload["p"] = args.p

@@ -75,6 +75,8 @@ class Curve:
                 raise ValueError(f"line {lineno}: grid points must lie in [0, 1], got {ln!r}")
             grid.append(p)
             values.append(v)
+        if not grid:
+            raise ValueError("curve CSV has no points")
         return Curve(tuple(grid), tuple(values))
 
     def metadata_json(self) -> str:

@@ -116,7 +116,7 @@ def _label_components(n: int, heads, tails):
 def _node_ints(num_nodes: int, ids):
     """The node ids of the int64 array `ids` as a list of plain ints that
     share one int object per node: tolist alone makes one per entry, 32
-    bytes each, which the adjacency tuples and links would then keep."""
+    bytes each, which the adjacency tuples would then keep."""
     nodes = list(range(num_nodes))
     return list(map(nodes.__getitem__, ids.tolist()))
 
@@ -131,13 +131,17 @@ class Graph:
 
     The links are stored once, as a read-only CSR pair of int64 arrays built
     by one numpy sort of all links: node u's sorted neighbours are
-    nbrs[bounds[u]:bounds[u + 1]]. Degrees, links, connectivity, equality
-    and the edge-list text are read off these arrays. `adjacency`, one
-    tuple of plain ints per node for the sweeps that index it in Python, is
-    built on first use and kept.
+    nbrs[bounds[u]:bounds[u + 1]]. Degrees, connectivity, equality, pickling
+    and the edge-list text are read off this pair. The other link views
+    are derived from it:
+    - `link_ends`, the (2, L) int64 array of the links (u, v) with u < v in
+      sorted order, where link id i is column i, built on first use and kept;
+    - `edges()`, the same links as a new list of (u, v) tuples on every call;
+    - `adjacency`, one tuple of plain ints per node for the sweeps that
+      index it in Python, built on first use and kept.
     """
 
-    __slots__ = ("_n", "_bounds", "_nbrs", "_adj", "_links", "_ends", "_connected", "_degrees")
+    __slots__ = ("_n", "_bounds", "_nbrs", "_adj", "_ends", "_connected", "_degrees")
 
     def __init__(self, num_nodes: int, edges=()):
         if num_nodes < 0:
@@ -153,11 +157,8 @@ class Graph:
         return graph
 
     def __reduce__(self):
-        # only the CSR pair is pickled, its ids in the narrowest dtype that
-        # holds them, and the caches are rebuilt on demand. Monte Carlo no
-        # longer pickles graphs: its forked workers inherit them, caches
-        # and all, so this serves library callers that pickle a graph
-        return _graph_of_pickle, (self._n, self._bounds, self._nbrs.astype(np.min_scalar_type(self._n)))
+        # only the CSR pair is pickled; the caches are rebuilt on demand
+        return Graph._of_csr, (self._n, self._bounds, self._nbrs)
 
     def _set_csr(self, num_nodes: int, bounds, nbrs):
         bounds.flags.writeable = False
@@ -166,7 +167,6 @@ class Graph:
         self._bounds = bounds
         self._nbrs = nbrs
         self._adj = None
-        self._links = None
         self._ends = None
         self._connected = None
         self._degrees = None
@@ -214,16 +214,9 @@ class Graph:
         return tuple(np.diff(self._bounds).tolist())
 
     @property
-    def links(self):
-        """edges() as a tuple, built once per graph; link id i is links[i]."""
-        if self._links is None:
-            self._links = tuple(self.edges())
-        return self._links
-
-    @property
     def link_ends(self):
-        """links as a read-only (2, L) int64 array, built once per graph:
-        link i is (link_ends[0, i], link_ends[1, i])."""
+        """The links (u, v) with u < v, sorted, as a read-only (2, L) int64
+        array built once per graph: link i is (link_ends[0, i], link_ends[1, i])."""
         if self._ends is None:
             heads = self._heads()
             keep = heads < self._nbrs
@@ -268,11 +261,6 @@ class Graph:
 
     def __hash__(self):
         return hash((self._n, self._nbrs.tobytes(), self._bounds.tobytes()))
-
-
-def _graph_of_pickle(num_nodes: int, bounds, nbrs) -> Graph:
-    """The graph that Graph.__reduce__ sent, its ids back in int64."""
-    return Graph._of_csr(num_nodes, bounds, nbrs.astype(np.int64))
 
 
 class DegreeDistribution:

@@ -113,15 +113,10 @@ _BLOCK_CELLS = 1 << 20
 
 
 def _splitmix(z):
-    """SplitMix64's output function of a state: an int below 2^64 or a uint64 array."""
+    """SplitMix64's output function of each state in a uint64 array."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def mix_seed(seed: int, index: int) -> int:
-    """SplitMix64 step: the per-run seed for run `index` under a root seed."""
-    return _splitmix((seed + (index + 1) * _GAMMA) & _MASK64)
 
 
 def resolve_workers(workers=None) -> int:
@@ -165,7 +160,9 @@ class CutFractionEstimate:
 
 
 def _run_seeds(seed: int, start: int, stop: int):
-    """mix_seed(seed, r) for r = start..stop-1 as uint64s, which wrap mod 2^64 as it does."""
+    """The seeds of runs r = start..stop-1 as uint64s: run r's is SplitMix64's
+    output for the state seed + (r + 1) * _GAMMA mod 2^64, and uint64
+    arithmetic wraps mod 2^64 as that state does."""
     return _splitmix(np.arange(start + 1, stop + 1, dtype=np.uint64) * _GAMMA + (seed & _MASK64))
 
 
@@ -173,8 +170,9 @@ def _small_orders(n: int, seed: int, start: int, stop: int):
     """Removal orders of runs start..stop-1 over n < _SMALL_PERMUTATION elements.
 
     Row r - start is the Fisher-Yates shuffle of 0..n-1 whose draw k, which
-    picks the partner j of position i = n - 1 - k, is mix_seed(run_seed, k)
-    for run_seed = mix_seed(seed, r). j is the high 64 bits of draw * (i + 1),
+    picks the partner j of position i = n - 1 - k, is SplitMix64's output
+    for the state run_seed + (k + 1) * _GAMMA mod 2^64, with run r's seed
+    from _run_seeds as run_seed. j is the high 64 bits of draw * (i + 1),
     the multiply-shift trick, whose bias of at most n/2^64 is irrelevant here.
     numpy's uint64 arithmetic wraps mod 2^64 as the stream does, and every
     draw of every run is taken at once; only the swaps go column by column.
@@ -263,10 +261,10 @@ def _order_blocks(dim: int, seed: int, start: int, stop: int, rows: int):
     A small block is sliced as _small_orders drew it. Large orders are
     drawn into one array reused for every slice, which is valid until the
     next slice is asked for. Run r's order,
-    Generator(PCG64(mix_seed(seed, r))).permutation(dim), is 0..dim-1
-    shuffled, so each row is filled with 0..dim-1 and shuffled in place by
-    a generator that numpy seeds from the run's words, which _seed_words
-    hashes for the whole block at once.
+    Generator(PCG64(run_seed)).permutation(dim) for run r's seed from
+    _run_seeds, is 0..dim-1 shuffled, so each row is filled with 0..dim-1
+    and shuffled in place by a generator that numpy seeds from the run's
+    words, which _seed_words hashes for the whole block at once.
     """
     buffer = None
     for at in range(start, stop, _DRAW_BLOCK):

@@ -16,7 +16,10 @@ that counted link sets before the node DP on the subdivided graph took
 over, and the per-node sets that
 built every graph's adjacency before one numpy sort of all links replaced
 them, and the per-run SplitMix64 shuffle that drew each small Monte Carlo
-removal order before they were drawn a block of runs at a time. The last
+removal order before they were drawn a block of runs at a time, with the
+scalar SplitMix64 step that seeded each run before the seeds of a block
+were hashed at once; it keeps its own constants, so the bulk hash is
+checked against an independent definition. The last
 few helpers are read only by tests: the matrix of a cut-set probe system
 (`probe_matrix`), quotient forms of the cycle and path polynomials, an
 exact rational evaluation, a plan's degree changes and a one-call link
@@ -33,7 +36,7 @@ import numpy as np
 
 from relpoly import Graph, ReliabilityCoefficients, estimate_link_cut_fractions, link_reliability_curve
 from relpoly.graph import _seeded_generator
-from relpoly.montecarlo import _SMALL_PERMUTATION, mix_seed
+from relpoly.montecarlo import _SMALL_PERMUTATION
 
 
 def naive_connected(graph, subset) -> bool:
@@ -296,6 +299,19 @@ def gauss_jordan_solve(rows, rhs):
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix_seed(seed: int, index: int) -> int:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the seed of run `index`
+    under a root seed, the output for the state seed + (index + 1) * gamma
+    mod 2^64, with gamma the golden-ratio increment 0x9E3779B97F4A7C15."""
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def splitmix_shuffle(n: int, run_seed: int) -> list:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import brute_cut_counts, brute_link_kept_counts
-from relpoly import Curve, Graph, cutset, exact, generate_lattice, load_edge_list, montecarlo, save_edge_list
+from relpoly import Curve, Graph, cutset, exact, generate_lattice, kgrip, load_edge_list, montecarlo, save_edge_list
 from relpoly.cli import _load_graph, build_parser, main
 from relpoly.graph import FAMILIES
 
@@ -243,6 +243,19 @@ class TestKgrip:
         assert augmented.num_links == base.num_links + 3
 
 
+    @pytest.mark.parametrize("strategy", ["lowest", "highest", "random"])
+    @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+    def test_bad_p_refused_before_any_plan(self, monkeypatch, capsys, strategy, p):
+        # k = 500 is above the 96 unlinked pairs of the 4x4 lattice: the bad
+        # --p is reported first, and no strategy function is called
+        calls = []
+        for name in ("greedy_lowest_degree_addition", "highest_degree_addition", "random_pairing_addition"):
+            monkeypatch.setattr(kgrip, name, lambda *args, name=name: calls.append(name))
+        assert run_cli(["kgrip", "--gen", "lattice:4x4", "--k", 500, "--strategy", strategy, "--p", p]) == 1
+        assert capsys.readouterr().err == "error: p must lie in [0, 1]\n"
+        assert calls == []
+
+
 class TestGenerate:
     @pytest.mark.filterwarnings("ignore:stochastic node reliability applied to a disconnected graph")
     def test_trailing_isolated_node_survives_the_file(self, tmp_path):
@@ -307,6 +320,17 @@ class TestCompare:
             f"error: {broken}: line 4: expected two numbers p,value, got '0.5,1,2'\n"
         )
 
+    @pytest.mark.parametrize("empty", ["first", "second"])
+    def test_curve_without_points_names_its_file(self, tmp_path, capsys, empty):
+        # a file with only its header is refused, not compared as a curve of no points
+        good = tmp_path / "good.csv"
+        run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 3, "--out", good])
+        header = tmp_path / "header.csv"
+        header.write_text("p,value\n")
+        files = [header, good] if empty == "first" else [good, header]
+        assert run_cli(["compare", *files]) == 1
+        assert capsys.readouterr().err == f"error: {header}: curve CSV has no points\n"
+
     def test_grid_mismatch_exit_1(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 21, "--out", a])
@@ -331,6 +355,18 @@ class TestUsageErrors:
 
     def test_bad_gen_spec(self):
         assert run_cli(["exact", "--gen", "wat:1,2"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["exact", "--family", "path", "--n", 3, "--ps", "0.5,0.2"], "--ps must be strictly increasing"),
+        (["exact", "--family", "path", "--n", 3, "--ps", "0.2,0.2"], "--ps must be strictly increasing"),
+        (["exact", "--family", "path", "--n", 3, "--ps", "0.5,1.5"], "--ps values must lie in [0, 1]"),
+        (["exact", "--gen", "er:abc,0.1"],
+         "bad generator spec 'er:abc,0.1': invalid literal for int() with base 10: 'abc'"),
+        (["exact", "--family", "path"], "--family requires --n"),
+    ], ids=["ps-decreasing", "ps-repeated", "ps-above-one", "gen-spec-not-a-number", "family-without-n"])
+    def test_usage_error_line(self, capsys, argv, message):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_approx_er_missing_params(self):
         assert run_cli(["approx", "er", "--n", 100]) == 2

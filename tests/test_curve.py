@@ -66,6 +66,12 @@ class TestCurve:
         with pytest.raises(ValueError):
             Curve.from_csv("x,y\n0,0\n")
 
+    @pytest.mark.parametrize("text", ["p,value\n", "p,value", "\np,value\n\n \n"],
+                             ids=["header", "no-newline", "blank-lines"])
+    def test_csv_without_points_refused(self, text):
+        with pytest.raises(ValueError, match="^curve CSV has no points$"):
+            Curve.from_csv(text)
+
     def test_metadata_sidecar_schema(self):
         curve = Curve((0.0, 1.0), (0.0, 1.0), {"method": "mc", "runs": 5, "seed": 1, "extra": "x"})
         side = json.loads(curve.metadata_json())

@@ -222,6 +222,13 @@ class TestGuards:
         rec = recover_cut_counts(system)
         assert any("outside" in f for f in rec.flags)
         assert any("empty residual" in f for f in rec.flags)
+        # and the JSON report writes them
+        payload = json.loads(rec.to_json())
+        assert payload["C"] == [-1, -3, -3, -1]
+        assert payload["flags"] == list(rec.flags) == [
+            "C_0=-1 outside [0, C(3,0)]", "C_1=-3 outside [0, C(3,1)]", "C_2=-3 outside [0, C(3,2)]",
+            "C_3=-1 outside [0, C(3,3)]", "C_3=-1 but the empty residual forces 1",
+        ]
 
     def test_json_payload(self):
         rec = recover_cut_counts(exact_system(path_graph(3)))

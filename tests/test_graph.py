@@ -71,12 +71,12 @@ class TestGraphBasics:
 
     def test_links_cached_and_edges_fresh(self):
         g = cycle_graph(5)
-        assert g.links is g.links
-        assert g.links == tuple(g.edges()) == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+        assert g.link_ends is g.link_ends
+        assert list(zip(*g.link_ends.tolist())) == g.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
         edges = g.edges()
         edges.append((1, 4))
         assert g.edges() is not edges
-        assert len(g.edges()) == g.num_links == len(g.links)
+        assert len(g.edges()) == g.num_links
 
     @pytest.mark.parametrize("n, links", [
         (5, [(1, 0), (1, 2), (3, 2), (4, 3), (0, 4)]), (0, []), (3, []), (6, [(4, 1), (0, 5), (2, 1)]),
@@ -88,26 +88,27 @@ class TestGraphBasics:
         ends = g.link_ends
         assert g.link_ends is ends and g._adj is None  # once, and with no per-node tuple
         assert ends.dtype == np.int64 and ends.shape == (2, g.num_links)
-        assert list(zip(*ends.tolist())) == sorted({(min(u, v), max(u, v)) for u, v in links}) == list(g.links)
+        assert list(zip(*ends.tolist())) == sorted({(min(u, v), max(u, v)) for u, v in links}) == g.edges()
         assert not ends.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             ends[0, 0:1] = 0
 
-    def test_pickle_sends_the_adjacency_only(self):
-        # worker processes get the graph this way and rebuild the caches
-        g = generate_er(200, 0.05, 4)
-        ends, links, connected, adjacency = g.link_ends, g.links, g.is_connected(), g.adjacency
-        data = pickle.dumps(g)
-        # the ids go as uint8 here, so the graph pickles smaller than its arrays
-        assert len(data) < len(pickle.dumps((g._bounds, g._nbrs)))
-        h = pickle.loads(data)
-        assert h._bounds.dtype == h._nbrs.dtype == np.int64
-        assert h._adj is None and h._ends is None and h._links is None and h._connected is None
-        assert h == g and h.num_nodes == 200 and h.num_links == g.num_links
-        assert h.links == links and h.is_connected() == connected and h.adjacency == adjacency
-        assert h.link_ends is h.link_ends and not h.link_ends.flags.writeable
-        assert np.array_equal(h.link_ends, ends)
-        assert not h._bounds.flags.writeable and not h._nbrs.flags.writeable
+    def test_pickle_sends_the_csr_pair_only(self, corpus):
+        # a pickled graph carries its CSR pair as stored, and the unpickled
+        # one builds its caches on first use: for every corpus graph, one
+        # pickled after its caches were built, one with no nodes and one
+        # with trailing isolated nodes
+        built = generate_er(200, 0.05, 4)
+        assert built.link_ends.size and built.is_connected() and built.adjacency and built.degree_distribution()
+        for g in [g for _, g in corpus] + [built, Graph(0), Graph(10, [(0, 1), (2, 3)])]:
+            h = pickle.loads(pickle.dumps(g))
+            assert h._bounds.dtype == h._nbrs.dtype == np.int64
+            assert not h._bounds.flags.writeable and not h._nbrs.flags.writeable
+            assert h._adj is None and h._ends is None and h._connected is None and h._degrees is None
+            assert h == g and hash(h) == hash(g) and (h.num_nodes, h.num_links) == (g.num_nodes, g.num_links)
+            assert h.edges() == g.edges() and h.is_connected() == g.is_connected() and h.adjacency == g.adjacency
+            assert h.link_ends is h.link_ends and not h.link_ends.flags.writeable
+            assert np.array_equal(h.link_ends, g.link_ends)
 
 
 class TestWithLinks:
@@ -121,10 +122,10 @@ class TestWithLinks:
 
     def test_fresh_caches(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert not g.is_connected() and g.links and g.degree_distribution()
+        assert not g.is_connected() and g.link_ends.size and g.degree_distribution()
         h = g.with_links([(1, 2)])
         assert h.is_connected()
-        assert h.links == ((0, 1), (1, 2), (2, 3))
+        assert h.link_ends.tolist() == [[0, 1, 2], [1, 2, 3]]
         assert h.degree_distribution().degree_counts == {1: 2, 2: 2}
 
     def test_numpy_ids_stored_as_int(self):

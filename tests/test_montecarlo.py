@@ -37,12 +37,13 @@ from relpoly import (
     star_graph,
 )
 from relpoly import bernstein_mixture, montecarlo
-from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _order_blocks, _run_seeds, _seed_words, mix_seed
+from relpoly.montecarlo import _DRAW_BLOCK, _count_range, _order_blocks, _run_seeds, _seed_words
 from oracle import (
     estimate_link_reliability_curve,
     forward_deletion_profile,
     link_disconnection_into,
     laplace_s_form,
+    mix_seed,
     naive_connected,
     node_disconnection_into,
     run_order,
@@ -659,6 +660,13 @@ class TestSeedMixing:
         assert len(set(vals)) == 100
 
     SEEDS = [0, 1, (1 << 64) - 1, -1, (1 << 70) + 3] + [mix_seed(2024, t) for t in range(200)]
+
+    def test_run_seeds_are_the_scalar_mix(self):
+        # the bulk hash equals the oracle's scalar SplitMix64 step, for roots
+        # below 0 and from 2^64 up, from the stream's start and far along it
+        for s in [-(2**64) - 5, 1 << 64] + self.SEEDS:
+            for start, stop in ((0, 5), (_DRAW_BLOCK - 2, _DRAW_BLOCK + 3), (2**40, 2**40 + 3)):
+                assert _run_seeds(s, start, stop).tolist() == [mix_seed(s, r) for r in range(start, stop)], (s, start)
 
     @pytest.mark.parametrize("rows", [1, 2, _DRAW_BLOCK])
     def test_block_draw_is_per_run_shuffle(self, rows):
