@@ -27,6 +27,8 @@ class Curve:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.grid:  # sup_gap and mean_abs_gap need a point
+            raise ValueError("a curve needs at least one point")
         if len(self.grid) != len(self.values):
             raise ValueError("grid and values must have equal length")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):

@@ -93,24 +93,53 @@ def _adjacency(num_nodes: int, heads, tails):
 def _label_components(n: int, heads, tails):
     """Component labels of nodes 0..n-1 under the links (heads[k], tails[k]).
 
-    Each node's label is the smallest id in its component. Each round hooks
-    every root to the smallest root it is linked to (np.minimum.at) and
-    pointer-jumps until every label is a root (Shiloach & Vishkin,
-    J. Algorithms 3(1), 1982).
+    Each node's label is the smallest id in its component. labels[v] is a
+    pointer: v is a root when labels[v] == v. Each round hooks the larger of
+    each link's two labels to the smaller one (np.minimum.at), pointer-jumps
+    twice, and then tests every link for equal labels at its ends (Shiloach
+    & Vishkin, J. Algorithms 3(1), 1982). That link test is the only test of
+    being done; once it passes, the labels are jumped to their roots.
+
+    Why that gives the smallest ids: a hook or a jump only ever lowers
+    labels[v] to a node of v's component, so labels[v] <= v and v's label
+    never leaves its component. A component's smallest id m is then a root,
+    and the roots reached from the two ends of a link agree once their
+    labels do, so when every link agrees, every node of m's component
+    reaches m. And the rounds end: after a failed link test the next round
+    lowers some label, by hooking a link whose two labels are distinct roots
+    or by jumping a label that points at a non-root.
+
+    Between the two jumps and the link test, the round keeps jumping while
+    a probe node's label is not a root: two scalar reads, where testing
+    every label for a root is a pass over the array. The probe starts at
+    node n - 1 and moves to the larger end of the last link that failed the
+    link test. It only steers how many jumps a round makes, never the
+    labels returned.
     """
     labels = np.arange(n)
+    if not len(heads):
+        return labels
+    # read backwards, so that argmax, which stops at its first hit, finds
+    # the last link that fails the link test; with none, it gives link 0
+    heads, tails = heads[::-1], tails[::-1]
     lh, lt = heads, tails
+    probe = n - 1
     while True:
-        # lh and lt are roots here, and a root hooked to itself stays put
         np.minimum.at(labels, np.maximum(lh, lt), np.minimum(lh, lt))
-        while True:
-            jumped = labels[labels]
-            if (jumped == labels).all():
-                break
-            labels = jumped
+        labels = labels[labels]
+        labels = labels[labels]
+        while labels[pointer := labels[probe]] != pointer:
+            labels = labels[labels]
         lh, lt = labels[heads], labels[tails]
-        if (lh == lt).all():
+        last = (lh != lt).argmax()
+        if lh[last] == lt[last]:
+            break
+        probe = max(heads[last], tails[last])
+    while True:
+        jumped = labels[labels]
+        if (jumped == labels).all():
             return labels
+        labels = jumped
 
 
 def _node_ints(num_nodes: int, ids):

@@ -14,20 +14,21 @@ constant. A link sweep stops once all nodes are connected, since every
 smaller removal count leaves a superset of those links; the run is scored
 by that threshold. On graphs with many links it also starts late: the
 threshold is below the first removal count that strips some node of its
-last link, so the links present one removal earlier are labelled in one
-numpy component pass, and the union-find sweep runs only if they leave
-more than one component. A node sweep skips the finds while the inserted
-nodes form one component: a new node then joins it exactly when it has an
+last link, so the components of the links present one removal earlier are
+labelled in numpy (graph._label_components, one labelling of a few
+whole-array passes), and the union-find sweep runs only if they leave more
+than one component. A node sweep skips the finds while the inserted nodes
+form one component: a new node then joins it exactly when it has an
 inserted neighbour. On graphs of at least _NODE_SHORTCUT_MIN_NODES nodes
 and a mean degree of at most _NODE_SHORTCUT_MAX_MEAN_DEGREE it also starts
 late and jumps. A node is isolated from the removal of its last neighbour
 until its own removal, so numpy reads off the removal order the suffix of
-removal counts whose residual has an isolated node; the residual just
-below it is labelled in one numpy pass, and the sweep starts there. While
-one component remains, it jumps straight to the next node with no
-neighbour behind it in the order, the only kind that starts a new
-component. Smaller or denser graphs skip that start: there the numpy setup
-costs more than the Python steps it saves.
+removal counts whose residual has an isolated node; the components of the
+residual just below it are labelled by the same numpy labelling, and the
+sweep starts there. While one component remains, it jumps straight to the
+next node with no neighbour behind it in the order, the only kind that
+starts a new component. Smaller or denser graphs skip that start: there
+the numpy setup costs more than the Python steps it saves.
 
 Estimate runs that no numpy step starts are swept a block at a time
 instead, where the graph allows: link runs below _LABEL_MIN_LINKS links,
@@ -113,9 +114,10 @@ _BLOCK_CELLS = 1 << 20
 
 
 def _splitmix(z):
-    """SplitMix64's output function of each state in a uint64 array."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    """SplitMix64's output function of each state in a uint64 array, whose
+    products wrap mod 2^64 as SplitMix64's do."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
 

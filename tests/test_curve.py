@@ -28,6 +28,15 @@ class TestCurve:
         with pytest.raises(ValueError):
             Curve((0.0, 1.5), (1.0, 1.0))
 
+    @pytest.mark.parametrize("values", [(), (1.0,)], ids=["no-values", "one-value"])
+    def test_no_points_refused(self, values):
+        with pytest.raises(ValueError, match="^a curve needs at least one point$"):
+            Curve((), values)
+
+    def test_one_point_has_gaps(self):
+        a, b = Curve((0.5,), (0.25,)), Curve((0.5,), (0.75,))
+        assert a.sup_gap(b) == a.mean_abs_gap(b) == 0.5
+
     def test_value_lookup(self):
         c = Curve((0.0, 0.5, 1.0), (0.0, 0.7, 1.0))
         assert c.value_at(0.5) == 0.7

@@ -27,6 +27,7 @@ from relpoly import (
 from relpoly import ConnectivityWarning, approx, kgrip
 from relpoly import graph as graph_module
 from relpoly.graph import FAMILIES, _row_blocks
+from conftest import CORPUS
 from oracle import naive_connected, set_adjacency, set_graph, triu_er, triu_rgg, union_find_component_count
 
 
@@ -477,6 +478,63 @@ class TestIsConnected:
             g = generate_er(n, float(rng.uniform(0.0, 0.5)), int(rng.integers(1 << 32)))
             by_union_find = union_find_component_count(g) == 1
             assert g.is_connected() == by_union_find
+
+
+def _residuals(g, seed):
+    """Node and link residuals of g under two drawn removal orders, each
+    removing about 10%, 30%, 50% and 70% of the nodes or links, as the
+    (n, heads, tails) that the Monte Carlo runs label: every node stays, and
+    only the kept links join them."""
+    n, (heads, tails) = g.num_nodes, g.link_ends
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cases = []
+    for _ in range(2):
+        pos = np.empty(n, np.int64)
+        pos[rng.permutation(n)] = np.arange(n)
+        link_order = rng.permutation(g.num_links)
+        for share in (0.1, 0.3, 0.5, 0.7):
+            kept = np.minimum(pos[heads], pos[tails]) >= int(share * n)
+            cases.append((n, heads[kept], tails[kept]))
+            kept = link_order[int(share * g.num_links):]
+            cases.append((n, heads[kept], tails[kept]))
+    return cases
+
+
+def _label_cases():
+    lattice = generate_lattice((30, 30))
+    heads, tails = lattice.link_ends
+    ids = np.random.Generator(np.random.PCG64(5)).permutation(2000)
+    cases = [(name, (g.num_nodes, *g.link_ends)) for name, g in CORPUS if name.startswith("er:")]
+    cases += [(f"er:1000,0.014 residual {k}", c) for k, c in enumerate(_residuals(generate_er(1000, 0.014, 0), 3))]
+    cases += [(f"lattice:30x30 residual {k}", c) for k, c in enumerate(_residuals(lattice, 4))]
+    return cases + [
+        ("path with shuffled ids", (2000, ids[:-1], ids[1:])),
+        ("lattice and an isolated top node", (901, heads, tails)),
+        ("lattice and a star on its top ids", (911, np.append(heads, [900] * 10), np.append(tails, np.arange(901, 911)))),
+        ("repeated and reversed links", (7, np.array([0, 1, 0, 5, 3, 6, 3, 5]), np.array([1, 0, 1, 3, 5, 3, 6, 3]))),
+        ("one node", (1, np.array([], np.int64), np.array([], np.int64))),
+    ]
+
+
+_LABEL_CASES = _label_cases()
+
+
+class TestLabelComponents:
+    """graph._label_components against networkx's connected components."""
+
+    @pytest.mark.parametrize("n, heads, tails", [c for _, c in _LABEL_CASES], ids=[name for name, _ in _LABEL_CASES])
+    def test_smallest_id_of_each_component(self, n, heads, tails):
+        import networkx as nx
+
+        full = nx.Graph()
+        full.add_nodes_from(range(n))
+        full.add_edges_from(zip(heads.tolist(), tails.tolist()))
+        smallest = np.empty(n, np.int64)
+        for component in nx.connected_components(full):
+            smallest[list(component)] = min(component)
+        labels = graph_module._label_components(n, heads, tails)
+        assert labels.tolist() == smallest.tolist()
+        assert (labels[labels] == labels).all()
 
 
 class TestDegreeOperationsBuildNoTuples:

@@ -520,6 +520,12 @@ class TestCurves:
         with pytest.raises(ValueError):
             node_reliability_curve(est, GRID)
 
+    def test_empty_grid_refused(self):
+        # with no points, sup_gap and mean_abs_gap would fail on the curve
+        est = estimate_node_cut_fractions(cycle_graph(4), 50, seed=1)
+        with pytest.raises(ValueError, match="^a curve needs at least one point$"):
+            node_reliability_curve(est, [])
+
     @pytest.mark.parametrize("kind, graph, runs, clamped", [
         ("node", generate_er(12, 0.3, 3), 500, False),
         ("node", generate_er(40, 0.15, 3), 300, False),
