@@ -142,7 +142,7 @@ class RggModel:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be positive")
-        if self.radius < 0:
+        if not self.radius >= 0:  # NaN too
             raise ValueError("radius must be nonnegative")
         if self.pair_probability > 1.0:
             raise ValueError("pi r^2 must not exceed 1")

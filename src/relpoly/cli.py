@@ -130,13 +130,16 @@ def _probability_list(text: str) -> tuple:
 
 
 def _power(text: str):
-    """Type of compare --power: a number, or the letter "p" for the grid coordinate."""
+    """Type of compare --power: a finite number, or the letter "p" for the grid coordinate."""
     if text == "p":
         return text
     try:
-        return float(text)
+        power = float(text)
     except ValueError:
         raise UsageError('--power takes a number or the letter "p"') from None
+    if not math.isfinite(power):
+        raise UsageError(f"--power must be finite, got {text!r}")
+    return power
 
 
 def _grid_from(args):
@@ -336,6 +339,19 @@ def _cmd_kgrip(args):
     return 0
 
 
+def _raised(path, value: float, power: float) -> float:
+    """value**power as a finite real float; a ValueError that names the
+    curve file otherwise (a zero to a negative power, an overflow, a NaN,
+    a negative value to a fractional power, which Python makes complex)."""
+    try:
+        result = value**power
+    except (ZeroDivisionError, OverflowError):
+        result = math.nan
+    if not isinstance(result, float) or not math.isfinite(result):
+        raise ValueError(f"{path}: cannot raise the value {value!r} to the power {power!r}")
+    return result
+
+
 def _cmd_compare(args):
     if len(args.files) < 2:
         raise UsageError("compare needs at least two curve files")
@@ -355,7 +371,7 @@ def _cmd_compare(args):
         transformed = [curves[0]]
         for path, c in curves[1:]:
             exponents = c.grid if args.power == "p" else [args.power] * len(c.grid)
-            vals = tuple(v**g for v, g in zip(c.values, exponents))
+            vals = tuple(_raised(path, v, g) for v, g in zip(c.values, exponents))
             transformed.append((path, Curve(c.grid, vals)))
         curves = transformed
     lines = ["a,b,sup_gap,mean_abs_gap"]

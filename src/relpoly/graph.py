@@ -97,24 +97,25 @@ def _label_components(n: int, heads, tails):
     pointer: v is a root when labels[v] == v. Each round hooks the larger of
     each link's two labels to the smaller one (np.minimum.at), pointer-jumps
     twice, and then tests every link for equal labels at its ends (Shiloach
-    & Vishkin, J. Algorithms 3(1), 1982). That link test is the only test of
-    being done; once it passes, the labels are jumped to their roots.
+    & Vishkin, J. Algorithms 3(1), 1982). The labels are returned as soon as
+    that link test passes.
 
-    Why that gives the smallest ids: a hook or a jump only ever lowers
-    labels[v] to a node of v's component, so labels[v] <= v and v's label
-    never leaves its component. A component's smallest id m is then a root,
-    and the roots reached from the two ends of a link agree once their
-    labels do, so when every link agrees, every node of m's component
-    reaches m. And the rounds end: after a failed link test the next round
-    lowers some label, by hooking a link whose two labels are distinct roots
-    or by jumping a label that points at a non-root.
+    Why they are then the smallest ids: a hook or a jump only ever lowers
+    labels[v] to a node of v's component, so labels[v] <= v. When every
+    link agrees, each component, being connected by its links, has one
+    label L on all its nodes. L lies in the component, so labels[L] = L,
+    and the component's smallest id m has L = labels[m] <= m, so L = m. A
+    node with no link keeps its own id. And the rounds end: after a failed
+    link test the next round lowers some label, by hooking a link whose two
+    labels are distinct roots or by jumping a label that points at a
+    non-root.
 
     Between the two jumps and the link test, the round keeps jumping while
     a probe node's label is not a root: two scalar reads, where testing
-    every label for a root is a pass over the array. The probe starts at
-    node n - 1 and moves to the larger end of the last link that failed the
-    link test. It only steers how many jumps a round makes, never the
-    labels returned.
+    every label for a root is a pass over the array. The probe is the larger
+    end of the last link not yet seen to agree, which before the first link
+    test is the last link. It only steers how many jumps a round makes,
+    never the labels returned.
     """
     labels = np.arange(n)
     if not len(heads):
@@ -122,24 +123,18 @@ def _label_components(n: int, heads, tails):
     # read backwards, so that argmax, which stops at its first hit, finds
     # the last link that fails the link test; with none, it gives link 0
     heads, tails = heads[::-1], tails[::-1]
-    lh, lt = heads, tails
-    probe = n - 1
+    lh, lt, last = heads, tails, 0
     while True:
         np.minimum.at(labels, np.maximum(lh, lt), np.minimum(lh, lt))
         labels = labels[labels]
         labels = labels[labels]
+        probe = max(heads[last], tails[last])
         while labels[pointer := labels[probe]] != pointer:
             labels = labels[labels]
         lh, lt = labels[heads], labels[tails]
         last = (lh != lt).argmax()
         if lh[last] == lt[last]:
-            break
-        probe = max(heads[last], tails[last])
-    while True:
-        jumped = labels[labels]
-        if (jumped == labels).all():
             return labels
-        labels = jumped
 
 
 def _node_ints(num_nodes: int, ids):
@@ -530,7 +525,7 @@ def generate_rgg(num_nodes: int, radius: float, seed: int) -> Graph:
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be positive")
-    if radius < 0:
+    if not radius >= 0:  # NaN too
         raise ValueError("radius must be nonnegative")
     rng = _seeded_generator(seed)
     pts = rng.random((num_nodes, 2))

@@ -311,3 +311,27 @@ class TestRggFormula:
         model = RggModel(100, 0.2)
         with pytest.raises(ValueError):
             rgg_node_reliability(model, 0.001)  # N p < 1
+
+
+class TestRefusalsAndEdges:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ErModel(0, 0.5), "num_nodes must be positive"),
+        (lambda: ErModel(5, 1.5), r"link probability must lie in \[0, 1\]"),
+        (lambda: ErModel(5, math.nan), r"link probability must lie in \[0, 1\]"),
+        (lambda: RggModel(0, 0.1), "num_nodes must be positive"),
+        (lambda: RggModel(5, -0.1), "radius must be nonnegative"),
+        (lambda: RggModel(5, math.nan), "radius must be nonnegative"),
+        (lambda: er_transition_width(ErModel(100, 0.05), 0.9, 0.1), "lo must not exceed hi"),
+        (lambda: er_transition_width(ErModel(100, 0.0), 0.1, 0.9), "transition width needs a positive mean degree"),
+    ], ids=["er-nodes", "er-probability", "er-nan", "rgg-nodes", "rgg-radius", "rgg-nan", "width-lo-above-hi",
+            "width-degree"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("value", [
+        lambda: arithmetic_upper_bound(Graph(3), 1.0),  # every node isolated and surviving
+        lambda: rgg_node_reliability(RggModel(100, 0.0), 0.5),  # no pair is ever linked
+    ], ids=["arith-edgeless-p1", "rgg-radius-0"])
+    def test_zero(self, value):
+        assert value() == 0.0

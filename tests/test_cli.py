@@ -132,6 +132,16 @@ class TestApprox:
         assert curve.grid[0] == pytest.approx(0.01)
         assert "dropped" in capsys.readouterr().err
 
+    def test_rgg_one_kept_grid_point_exit_1(self, capsys):
+        assert run_cli(["approx", "rgg", "--n", 2, "--r", 0.1, "--ps", "0.1,0.6"]) == 1
+        assert capsys.readouterr() == (
+            "", "note: dropped 1 grid points with N*p < 1\nerror: grid has fewer than two points with N*p >= 1\n"
+        )
+
+    def test_rgg_nan_radius_exit_1(self, capsys):
+        assert run_cli(["approx", "rgg", "--n", 100, "--r", "nan", "--grid", 3]) == 1
+        assert capsys.readouterr() == ("", "error: radius must be nonnegative\n")
+
     def test_er_intersection_json(self, capsys):
         assert run_cli(["approx", "er-intersection", "--n", 100, "--pl", 0.05,
                         "--n2", 10000, "--pl2", 0.0012]) == 0
@@ -269,6 +279,12 @@ class TestGenerate:
                         "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rgg_nan_radius_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.edges"
+        assert run_cli(["generate", "--gen", "rgg:10,nan", "--out", out]) == 2
+        assert capsys.readouterr().err == "usage error: bad generator spec 'rgg:10,nan': radius must be nonnegative\n"
+        assert not out.exists()
+
 
 class TestCompare:
     def test_identical_files(self, tmp_path, capsys):
@@ -344,6 +360,27 @@ class TestCompare:
     def test_bad_power_is_usage_error_before_files_are_read(self, capsys):
         assert run_cli(["compare", "/nonexistent/a.csv", "/nonexistent/b.csv", "--power", "x"]) == 2
         assert capsys.readouterr().err == 'usage error: --power takes a number or the letter "p"\n'
+
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+    def test_power_not_finite_is_usage_error(self, capsys, power):
+        assert run_cli(["compare", "/nonexistent/a.csv", "/nonexistent/b.csv", f"--power={power}"]) == 2
+        assert capsys.readouterr().err == f"usage error: --power must be finite, got {power!r}\n"
+
+    @pytest.mark.parametrize("value, power", [
+        ("0", "-1"),  # ZeroDivisionError in Python
+        ("1e308", "2"),  # OverflowError
+        ("-0.5", "0.5"),  # a complex number in Python
+        ("-0.5", "p"),  # the same, with the grid point 0.5 as the power
+        ("nan", "2"),
+    ])
+    def test_power_without_finite_real_value_exit_1(self, tmp_path, capsys, value, power):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("p,value\n0,1\n0.5,1\n1,1\n")
+        b.write_text(f"p,value\n0,1\n0.5,{value}\n1,1\n")
+        assert run_cli(["compare", a, b, f"--power={power}"]) == 1
+        named = 0.5 if power == "p" else float(power)
+        message = f"error: {b}: cannot raise the value {float(value)!r} to the power {named!r}\n"
+        assert capsys.readouterr() == ("", message)
 
 
 class TestUsageErrors:

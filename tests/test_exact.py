@@ -608,3 +608,20 @@ class TestProbabilityChecked:
         source = {"node": exact_node_curve_source(_NODE_C4), "link": exact_link_curve_source(_LINK_C4)}[kind]
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             source(p)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ReliabilityCoefficients.node(3, [0, 3, 2]), r"need S_0\.\.S_N"),
+        (lambda: ReliabilityCoefficients.link(3, 2, [1, 2]), r"need F_0\.\.F_L"),
+        (lambda: ReliabilityCoefficients.node(3, [0, 4, 3, 1]), "inconsistent connected-subgraph counts"),
+        (lambda: ReliabilityCoefficients.link(3, 2, [1, 3, 1]), "inconsistent kept-link counts"),
+        (lambda: exact_link_curve_source(family_node_coefficients("path", 4))(Fraction(1, 2)),
+         "link-kind coefficients required"),
+        (lambda: node_reliability_c_form(enumerate_link_coefficients(cycle_graph(4)), 0.5),
+         "node-kind coefficients required"),
+    ], ids=["node-length", "link-length", "node-above-binomial", "link-above-binomial", "exact-link-source",
+            "c-form-on-link"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

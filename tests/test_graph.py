@@ -841,3 +841,43 @@ class TestSavedFormScan:
             warnings.simplefilter("error")
             g = load_edge_list(_NoLoop(text))
         assert g == Graph(n, links) and g.num_nodes == n and save_edge_list(g) == text
+
+
+class TestRefusals:
+    """Each refusal of the graph module, with its exception and message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Graph(-1), ValueError, "num_nodes must be nonnegative"),
+        (lambda: Graph(3, [(0, 1, 2)]), ValueError, "too many values to unpack"),
+        (lambda: Graph(3, [(0, 2**64)]), ValueError, r"link \(0, 18446744073709551616\) out of range for 3 nodes"),
+        (lambda: Graph(2**65, [(0, 2**64)]), OverflowError, "too large"),
+        (lambda: load_edge_list("0 1 2\n"), EdgeListFormatError, "line 1: expected two tokens, got 3"),
+        (lambda: load_edge_list("0 1\n2 -1\n"), EdgeListFormatError, "line 2: negative node id"),
+        (lambda: generate_er(0, 0.5, 0), ValueError, "num_nodes must be positive"),
+        (lambda: generate_er(5, 1.5, 0), ValueError, r"link probability must lie in \[0, 1\]"),
+        (lambda: generate_rgg(0, 0.1, 0), ValueError, "num_nodes must be positive"),
+        (lambda: generate_rgg(5, math.nan, 0), ValueError, "radius must be nonnegative"),
+        (lambda: generate_ba(5, 0, 0), ValueError, "links_per_step must be positive"),
+        (lambda: generate_lattice((3, 0)), ValueError, "lattice dimensions must be positive"),
+        (lambda: complete_graph(0), ValueError, r"complete graph needs n >= 1"),
+        (lambda: graph_module.complete_pendant_graph(2), ValueError, r"complete-plus-pendant needs n >= 3"),
+        (lambda: cycle_graph(2), ValueError, r"cycle needs n >= 3"),
+        (lambda: path_graph(0), ValueError, r"path needs n >= 1"),
+        (lambda: star_graph(2), ValueError, r"star needs n >= 3"),
+        (lambda: graph_module.star_pendant_graph(2), ValueError, r"star-plus-pendant needs n >= 3"),
+        (lambda: graph_module.DegreeDistribution({}, 0), ValueError, "degree distribution needs at least one node"),
+        (lambda: graph_module.DegreeDistribution({1: 2}, 3), ValueError, "degree counts must sum to the node count"),
+    ], ids=[
+        "negative-nodes", "not-a-pair", "id-beyond-int64", "id-beyond-int64-in-range", "three-tokens",
+        "negative-id", "er-nodes", "er-probability", "rgg-nodes", "rgg-nan-radius", "ba-links-per-step",
+        "lattice-dimension", "complete", "complete-pendant", "cycle", "path", "star", "star-pendant",
+        "degrees-no-nodes", "degrees-bad-sum",
+    ])
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_blank_line_of_other_text_skipped(self):
+        # not the saved form, so the per-line loop reads it
+        g = load_edge_list("0 1\n\n  \n1 2\n")
+        assert g.edges() == [(0, 1), (1, 2)]

@@ -18,7 +18,7 @@ from relpoly import (
     random_pairing_addition,
     star_graph,
 )
-from relpoly.kgrip import objective, restructuring_delta
+from relpoly.kgrip import AugmentationPlan, objective, restructuring_delta
 from oracle import degree_changes, greedy_addition, random_pairing
 
 GRID = tuple((i + 1) / 20 for i in range(19))
@@ -317,3 +317,17 @@ class TestPlanSerialization:
         changes = degree_changes(plan, 6)
         assert sum(changes) == 2 * 3
         assert all(a >= 0 for a in changes)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: AugmentationPlan("lowest", 2, ((0, 1),)), "plan size must equal k"),
+        (lambda: AugmentationPlan("lowest", 1, ((1, 1),)), "self-pairs are not allowed"),
+        (lambda: restructuring_delta(-1, 2, 0.5), "degrees are nonnegative"),
+        (lambda: greedy_lowest_degree_addition(path_graph(4), 0), "k must be positive"),
+        (lambda: highest_degree_addition(path_graph(4), 0), "k must be positive"),
+        (lambda: random_pairing_addition(path_graph(4), 0, 1), "k must be positive"),
+    ], ids=["plan-size", "plan-self-pair", "negative-degree", "lowest-k0", "highest-k0", "random-k0"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

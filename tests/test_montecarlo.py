@@ -1101,3 +1101,18 @@ class TestForkedOutput:
         one = _run_python(code, *argv, "--workers", 1)
         assert one.startswith(b"before the run\n") and one.count(b"before") == 1
         assert _run_python(code, *argv, "--workers", 2) == one
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CutFractionEstimate("node", 3, (0, 0), 10, 0), "need one count per removal size 0..dimension"),
+        (lambda: estimate_node_cut_fractions(Graph(0), 10, 0), "graph must have at least one node"),
+        (lambda: estimate_link_cut_fractions(Graph(3), 10, 0), "graph must have at least one link"),
+        (lambda: laplace_curve(estimate_link_cut_fractions(cycle_graph(4), 10, 0), (0.5,)),
+         "node-kind fractions required"),
+        (lambda: laplace_curve(enumerate_link_coefficients(cycle_graph(4)), (0.5,)),
+         "node-kind coefficients required"),
+    ], ids=["count-length", "node-no-nodes", "link-no-links", "laplace-link-estimate", "laplace-link-coefficients"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
