@@ -224,8 +224,6 @@ def rgg_node_reliability(model: RggModel, p: float) -> float:
     a = model.pair_probability
     if np_ == 1.0:
         return 0.0  # inner power is (1-a)^0 = 1, so the base vanishes
-    if a >= 1.0:
-        return 1.0
     inner = math.exp((np_ - 1.0) * math.log1p(-a))
     if inner >= 1.0:
         return 0.0

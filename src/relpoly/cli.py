@@ -341,8 +341,8 @@ def _cmd_kgrip(args):
 
 def _raised(path, value: float, power: float) -> float:
     """value**power as a finite real float; a ValueError that names the
-    curve file otherwise (a zero to a negative power, an overflow, a NaN,
-    a negative value to a fractional power, which Python makes complex)."""
+    curve file otherwise (a zero to a negative power, an overflow, a
+    negative value to a fractional power, which Python makes complex)."""
     try:
         result = value**power
     except (ZeroDivisionError, OverflowError):

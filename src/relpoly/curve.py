@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -75,6 +76,8 @@ class Curve:
                 raise ValueError(f"line {lineno}: expected two numbers p,value, got {ln!r}") from None
             if not 0 <= p <= 1:  # NaN too
                 raise ValueError(f"line {lineno}: grid points must lie in [0, 1], got {ln!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"line {lineno}: values must be finite, got {ln!r}")
             grid.append(p)
             values.append(v)
         if not grid:

@@ -6,6 +6,7 @@ parameters and a 64-bit seed: the same call yields the same graph.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from functools import partial
@@ -450,18 +451,22 @@ def save_edge_list(graph: Graph) -> str:
 _PAIR_BLOCK = 1 << 18
 
 
-def _row_blocks(ends):
-    """The pairs (i, j) with i < j < ends[i], row after row, in blocks.
+def _row_blocks(starts, ends):
+    """The pairs (i, j) with starts[i] <= j < ends[i], row after row, in blocks.
 
-    Row i holds the ends[i] - i - 1 pairs (i, i+1), ..., (i, ends[i]-1), so
-    ends[i] > i. A block is a run of whole rows with at most _PAIR_BLOCK
-    pairs, or a single row that alone holds more, with any empty rows before
-    it. Yields (count, pairs) per block: its pair count and a function that
-    maps flat offsets 0 <= t < count of the block to the arrays (i, j), or
-    gives all `count` pairs in order when called with no offsets.
+    Row i holds the ends[i] - starts[i] pairs (i, starts[i]), ...,
+    (i, ends[i]-1), so starts[i] <= ends[i]. generate_er's row i starts at
+    i + 1; generate_rgg passes two sets of rows, one run of candidates per
+    point in its own band and one in the next, about 2(N + L) pairs in all
+    near the connectivity radius. A block is a run of whole rows with at
+    most _PAIR_BLOCK pairs, or a single row that alone holds more, with any
+    empty rows before it. Yields (count, pairs) per block: its pair count
+    and a function that maps flat offsets 0 <= t < count of the block to
+    the arrays (i, j), or gives all `count` pairs in order when called with
+    no offsets. O(rows) memory beside one block's arrays.
     """
     ends = np.asarray(ends, dtype=np.intp)
-    cum = np.cumsum(ends - np.arange(ends.size) - 1)  # pairs in rows 0..i
+    cum = np.cumsum(ends - np.asarray(starts, dtype=np.intp))  # pairs in rows 0..i
     first, done = 0, 0
     while done < (cum[-1] if cum.size else 0):
         # whole rows up to _PAIR_BLOCK pairs, but at least one nonempty row
@@ -508,7 +513,7 @@ def generate_er(num_nodes: int, link_probability: float, seed: int) -> Graph:
     rng = _seeded_generator(seed)
     # one double per pair, block after block: the same stream as a single draw
     keys = []
-    for count, pairs in _row_blocks(np.full(num_nodes, num_nodes)):
+    for count, pairs in _row_blocks(np.arange(1, num_nodes + 1), np.full(num_nodes, num_nodes)):
         i, j = pairs(np.flatnonzero(rng.random(count) < link_probability))
         keys.append(i * num_nodes + j)
     return _graph_of_keys(num_nodes, keys)
@@ -518,10 +523,14 @@ def generate_rgg(num_nodes: int, radius: float, seed: int) -> Graph:
     """Random geometric graph: N uniform points in the unit square, link iff
     their Euclidean distance is strictly below `radius`. No wraparound.
 
-    The points are sorted by x, and each is tested only against the later
-    points of its strip, those less than `radius` further right. Cost:
-    O(N log N + strip candidates) time in O(block + L) memory; the strip
-    never holds more than the N(N-1)/2 pairs.
+    The square is cut into horizontal bands at least `radius` high, at most
+    N of them, and the points are sorted by band, then by x. Each point is
+    tested against two runs of that order, found by binary search: the later
+    points of its own band less than `radius` to its right, and the points
+    of the next band less than `radius` from it in x. Cost: O(N log N) time
+    plus the candidates, about 2(N + L) near the connectivity radius, in
+    O(N + block + L) memory. A radius of 1 or more, or N = 1, makes one
+    band: a single x-sorted strip.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be positive")
@@ -529,12 +538,34 @@ def generate_rgg(num_nodes: int, radius: float, seed: int) -> Graph:
         raise ValueError("radius must be nonnegative")
     rng = _seeded_generator(seed)
     pts = rng.random((num_nodes, 2))
-    order = np.argsort(pts[:, 0], kind="stable")
-    xs, ys = pts[order, 0], pts[order, 1]
     # A pair the test below accepts has fl(dx*dx) <= fl(dx*dx + dy*dy) <
-    # fl(r*r), so dx = fl(x_t - x_s) < r. Rounding is monotone, so x_t - x_s
-    # < r exactly and x_t <= fl(x_s + r), which side="right" keeps in the strip.
-    ends = np.searchsorted(xs, xs + radius, side="right")
+    # fl(r*r), so fl(|x_t - x_s|) = |dx| < r, and likewise in y. Rounding is
+    # monotone, so |x_t - x_s| < r and |y_t - y_s| < r exactly. Hence:
+    # - fl(x_s - r) <= x_t <= fl(x_s + r): t's x rank lies in s's [lo, hi);
+    # - band k holds the y with k*h <= y < (k+1)*h, h = c * 2^-52 >= r, and
+    #   band = floor(y * 2^52) // c is exact, as y * 2^52 only scales y by a
+    #   power of two; two y less than h apart are never two bands apart, so
+    #   t lies in s's band or in an adjacent one.
+    # c >= 2^52 / N keeps the bands at most N and the keys band*N + x rank
+    # below N^2.
+    c = max(math.ceil(math.ldexp(min(radius, 1.0), 52)), -(-(1 << 52) // num_nodes))
+    by_x = np.argsort(pts[:, 0])
+    x_sorted = pts[by_x, 0]
+    lo = np.searchsorted(x_sorted, x_sorted - radius, side="left")
+    hi = np.searchsorted(x_sorted, x_sorted + radius, side="right")
+    keys = (pts[by_x, 1] * 2.0**52).astype(np.int64) // c * num_nodes
+    keys += np.arange(num_nodes)
+    keys.sort()  # by band, then by x
+    ranks = keys % num_nodes
+    base = keys - ranks  # band*N
+    lo, hi, order = lo[ranks], hi[ranks], by_x[ranks]
+    xs, ys = pts[order, 0], pts[order, 1]
+    # the candidates of each point: the later points of its band up to x
+    # rank hi, and the points of the next band with x rank in [lo, hi)
+    runs = (
+        (np.arange(1, num_nodes + 1), np.searchsorted(keys, base + hi)),
+        (np.searchsorted(keys, base + num_nodes + lo), np.searchsorted(keys, base + num_nodes + hi)),
+    )
 
     def linked(s, t):
         # xs[t] - xs[s] is the id-order difference or its exact negation,
@@ -550,7 +581,7 @@ def generate_rgg(num_nodes: int, radius: float, seed: int) -> Graph:
         u, v = order[s[keep]], order[t[keep]]
         return np.minimum(u, v) * num_nodes + np.maximum(u, v)
 
-    return _graph_of_keys(num_nodes, [linked(*pairs()) for _, pairs in _row_blocks(ends)])
+    return _graph_of_keys(num_nodes, [linked(*pairs()) for run in runs for _, pairs in _row_blocks(*run)])
 
 
 def generate_ba(num_nodes: int, links_per_step: int, seed: int) -> Graph:

@@ -347,6 +347,21 @@ class TestCompare:
         assert run_cli(["compare", *files]) == 1
         assert capsys.readouterr().err == f"error: {header}: curve CSV has no points\n"
 
+    @pytest.mark.parametrize("power", [None, "2"], ids=["plain", "power2"])
+    @pytest.mark.parametrize("value, row", [("nan", 0), ("nan", 1), ("inf", 1), ("-inf", 2)],
+                             ids=["nan-first", "nan-middle", "inf", "-inf"])
+    def test_value_not_finite_exit_1(self, tmp_path, capsys, value, row, power):
+        # a gap to a NaN or an infinite value is no gap: the file is refused
+        # as it is read, before any power is taken
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        rows = ["0,0", "0.5,0.5", "1,1"]
+        a.write_text("p,value\n" + "\n".join(rows) + "\n")
+        rows[row] = rows[row].split(",")[0] + "," + value
+        b.write_text("p,value\n" + "\n".join(rows) + "\n")
+        flags = [] if power is None else [f"--power={power}"]
+        assert run_cli(["compare", a, b, *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {b}: line {row + 2}: values must be finite, got '{rows[row]}'\n")
+
     def test_grid_mismatch_exit_1(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["exact", "--family", "cycle", "--n", 5, "--grid", 21, "--out", a])
@@ -371,7 +386,6 @@ class TestCompare:
         ("1e308", "2"),  # OverflowError
         ("-0.5", "0.5"),  # a complex number in Python
         ("-0.5", "p"),  # the same, with the grid point 0.5 as the power
-        ("nan", "2"),
     ])
     def test_power_without_finite_real_value_exit_1(self, tmp_path, capsys, value, power):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -71,6 +71,14 @@ class TestCurve:
         with pytest.raises(ValueError, match=f"line 4: expected two numbers p,value, got '{row}'"):
             Curve.from_csv(f"p,value\n\n0,1\n{row}\n1,0\n")
 
+    @pytest.mark.parametrize("value, row", [("nan", 0), ("nan", 1), ("inf", 1), ("-inf", 2)],
+                             ids=["nan-first", "nan-middle", "inf", "-inf"])
+    def test_csv_value_not_finite_names_its_line(self, value, row):
+        rows = ["0,0", "0.5,0.5", "1,1"]
+        rows[row] = rows[row].split(",")[0] + "," + value
+        with pytest.raises(ValueError, match=f"^line {row + 2}: values must be finite, got '{rows[row]}'$"):
+            Curve.from_csv("p,value\n" + "\n".join(rows) + "\n")
+
     def test_csv_header_required(self):
         with pytest.raises(ValueError):
             Curve.from_csv("x,y\n0,0\n")

@@ -5,6 +5,7 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from relpoly import (
 from relpoly import ConnectivityWarning, approx, kgrip
 from relpoly import graph as graph_module
 from relpoly.graph import FAMILIES, _row_blocks
+import oracle
 from conftest import CORPUS
 from oracle import naive_connected, set_adjacency, set_graph, triu_er, triu_rgg, union_find_component_count
 
@@ -693,20 +695,21 @@ class TestBlockGenerators:
         assert generate_rgg(n, r, seed) == triu_rgg(n, r, seed)
 
     @staticmethod
-    def _check_blocks(ends, block):
-        """The blocks of _row_blocks(ends) hold every pair (i, j < ends[i]) in
-        order, in whole rows, each nonempty and within `block` pairs unless
-        it holds a single nonempty row."""
-        iu, ju = np.triu_indices(len(ends), k=1)
-        mask = ju < ends[iu]
-        blocks = list(_row_blocks(ends))
+    def _check_blocks(starts, ends, block):
+        """The blocks of _row_blocks(starts, ends) hold every pair (i, j) with
+        starts[i] <= j < ends[i] in order, in whole rows, each nonempty and
+        within `block` pairs unless it holds a single nonempty row."""
+        width = int(np.max(ends, initial=0))
+        iu, ju = np.divmod(np.arange(len(ends) * width), width or 1)  # every i and j < max(ends)
+        mask = (starts[iu] <= ju) & (ju < ends[iu])
+        blocks = list(_row_blocks(starts, ends))
         heads, tails = [iu[:0]], [ju[:0]]
         for count, pair_of in blocks:
             bi, bj = pair_of()
             heads.append(bi)
             tails.append(bj)
             assert 0 < count == bi.size == bj.size
-            assert bj[0] == bi[0] + 1 and bj[-1] == ends[bi[-1]] - 1  # starts and ends a row
+            assert bj[0] == starts[bi[0]] and bj[-1] == ends[bi[-1]] - 1  # starts and ends a row
             assert count <= block or bi[0] == bi[-1]  # over the block only as one row
             # any offsets map to the same pairs as the whole block
             offsets = np.flatnonzero(np.arange(count) % 3 != 1)
@@ -720,7 +723,7 @@ class TestBlockGenerators:
     def test_pair_blocks_are_whole_rows_in_order(self, monkeypatch, block):
         monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
         for n in (1, 2, 3, 5, 60, 1500):
-            self._check_blocks(np.full(n, n), block)
+            self._check_blocks(np.arange(1, n + 1), np.full(n, n), block)
 
     @pytest.mark.parametrize("block", [1, 6, 117])
     def test_ragged_rows(self, monkeypatch, block):
@@ -731,14 +734,31 @@ class TestBlockGenerators:
             ids = np.arange(n)
             for ends in (ids + 1, np.where(ids % 2, ids + 1, n), np.where(ids % 5 == 3, n, ids + 1),
                          ids + 1 + rng.integers(0, n - ids), np.minimum(ids + 2, n)):
-                self._check_blocks(ends, block)
-        assert list(_row_blocks(np.arange(1, 6))) == []
+                self._check_blocks(ids + 1, ends, block)
+        assert list(_row_blocks(np.arange(1, 6), np.arange(1, 6))) == []
+
+    @pytest.mark.parametrize("block", [1, 6, 117])
+    def test_ragged_starts(self, monkeypatch, block):
+        # rows that start anywhere, before i, at i + 1 or past it, empty rows
+        # between and after them, and rows longer than the block
+        monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
+        rng = np.random.Generator(np.random.PCG64(block + 1))
+        for n in (1, 2, 7, 40, 300):
+            ids = np.arange(n)
+            starts = rng.integers(0, n + 1, n)
+            for starts, ends in ((starts, rng.integers(starts, n + 1)), (starts, starts),
+                                 (np.minimum(ids + 3, n), np.full(n, n)), (ids // 2, np.maximum(ids, 1)),
+                                 (np.where(ids % 3, n, 0), np.full(n, n))):
+                self._check_blocks(starts, ends, block)
+        long_rows = self._check_blocks(np.array([0, 3, 3, 1]), np.array([0, 3, 300, 300]), block)
+        assert [count for count, _ in long_rows][-2:] == [297, 299]
+        assert list(_row_blocks(np.arange(2, 7), np.arange(2, 7))) == []
 
     @pytest.mark.parametrize("block, n", [(6, 5), (117, 60), (2997, 1500)])
     def test_block_full_at_a_row_end(self, monkeypatch, block, n):
         # rows hold n-1, n-2, ... pairs; here some run of rows fills a block exactly
         monkeypatch.setattr(graph_module, "_PAIR_BLOCK", block)
-        assert block in [count for count, _ in self._check_blocks(np.full(n, n), block)]
+        assert block in [count for count, _ in self._check_blocks(np.arange(1, n + 1), np.full(n, n), block)]
         cases = [(min(1.0, 10 / n), min(1.5, 3 / math.sqrt(n)))] + [(1.0, 1.5)] * (n <= 100)
         for pl, r in cases:
             assert generate_er(n, pl, 7) == triu_er(n, pl, 7)
@@ -776,6 +796,85 @@ class TestBlockGenerators:
         assert np.count_nonzero(brute < r * r) and np.count_nonzero(np.abs(brute - r * r) < 1e-15)
         links = [pair for pair, d2 in zip(itertools.combinations(range(n), 2), brute) if d2 < r * r]
         assert generate_rgg(n, r, 0).edges() == links
+
+    @pytest.mark.parametrize("r", [0.1, 0.25, 1 / 3, 0.45], ids=["r0.1", "r0.25", "r0.333", "r0.45"])
+    def test_rgg_band_edges_on_crafted_points(self, monkeypatch, r):
+        # y on the band edges k*h, on k*r, on the edges of bands one 2^-52
+        # step lower than h (too low to keep every linked pair within two
+        # bands), and one ulp either side; pairs across an edge whose dy is
+        # within an ulp of r; and x ties at both ends of the next band's
+        # range, x - r and x + r, and an ulp either side
+        h = Fraction(math.ceil(math.ldexp(r, 52)), 1 << 52)  # the band height: 2^-52 steps, at least r
+        edges = [float(k * h) for k in (1, 2, 3)] + [k * r for k in (1, 2)]
+        edges += [float(k * (h - Fraction(1, 1 << 52))) for k in (1, 2)]
+
+        def up(v):
+            return math.nextafter(v, math.inf)
+
+        def down(v):
+            return math.nextafter(v, -math.inf)
+
+        x, pts = 0.4, []
+        for edge in edges:
+            for y in (down(edge), edge, up(edge)):
+                pts.append((x, y))
+                for dy in (r, down(r), up(r)):
+                    pts += [(x, y + dy), (x, down(y + dy)), (x, up(y + dy)), (x, y - dy), (x, up(y - dy))]
+            for gap in (r, down(r), up(r)):
+                for end in (x - gap, x + gap):
+                    for xt in (down(end), end, up(end)):
+                        pts += [(xt, edge), (xt, up(edge)), (xt, edge + r / 4)]
+        pts = np.array([(x, y) for x, y in pts if 0 <= x < 1 and 0 <= y < 1])
+        pts = pts[np.random.Generator(np.random.PCG64(5)).permutation(len(pts))]
+
+        class FixedPoints:
+            def random(self, shape):
+                assert shape == pts.shape
+                return pts.copy()
+
+        monkeypatch.setattr(graph_module, "_seeded_generator", lambda seed: FixedPoints())
+        monkeypatch.setattr(oracle, "_seeded_generator", lambda seed: FixedPoints())
+        g = generate_rgg(len(pts), r, 0)
+        assert g == triu_rgg(len(pts), r, 0)
+        # linked pairs across an edge, some with |dy| within an ulp of r
+        band = [int(Fraction(y) / h) for y in pts[:, 1].tolist()]
+        across = [(u, v) for u, v in g.edges() if band[u] != band[v]]
+        near = [(u, v) for u, v in across if abs(abs(pts[u, 1] - pts[v, 1]) - r) <= math.ulp(r)]
+        assert len(across) > len(near) > 0
+
+    @pytest.mark.parametrize(
+        "r",
+        [v for m in (2, 3, 10) for v in (1 / m, math.nextafter(1 / m, 0), math.nextafter(1 / m, 1))]
+        + [0.0, 1e-300, 5e-324, 0.02, 1.0, 1.5, math.inf],
+    )
+    def test_rgg_radii_at_band_heights_and_extremes(self, r):
+        # bands of height about 1/m, one band (r >= 1), and radii below 1/N,
+        # where the N-band cap sets the height (r = 0.02 at N = 30 gives links)
+        links = 0
+        for n, seed in [(1, 1), (2, 2), (300, 3)] + [(30, seed) for seed in range(10)]:
+            g = generate_rgg(n, r, seed)
+            assert g == triu_rgg(n, r, seed)
+            links += g.num_links if n == 30 else 0
+        assert (links > 0) == (r >= 0.02)
+
+    def test_rgg_candidates_stay_near_n_plus_l(self, monkeypatch):
+        # the pairs _row_blocks hands out: the bands give 1.59-1.72 times
+        # N + L here; one x-sorted strip gave 19.5 at degree-large's N = 5000,
+        # 37 at rgg:20000,0.015 and 74 at rgg:100000,0.0078
+        handed = []
+        row_blocks = graph_module._row_blocks
+
+        def counted(*rows):
+            for count, pairs in row_blocks(*rows):
+                handed.append(count)
+                yield count, pairs
+
+        monkeypatch.setattr(graph_module, "_row_blocks", counted)
+        degree_large = math.sqrt(1.5 * math.log(5000) / (math.pi * 5000))
+        for n, r in ((5000, degree_large), (20000, 0.015), (100000, 0.0078), (200000, 0.004), (5000, 0.3)):
+            handed.clear()
+            links = generate_rgg(n, r, 1).num_links
+            assert sum(handed) <= 3 * (n + links), (n, r, sum(handed), links)
 
     def test_large_generators_trace_little_memory(self):
         # the degree-large benchmark graphs; all pairs at once traced 298 and 572 MiB
