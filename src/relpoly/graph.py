@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from array import array
 from functools import partial
 from operator import index
 
@@ -59,16 +60,20 @@ def _id_arrays(num_nodes: int, edges):
         raise
 
 
-def _sorted_keys(num_nodes: int, heads, tails):
-    """The keys u*N+v and v*N+u of the links (heads[k], tails[k]), sorted,
-    repeats kept.
-
-    `heads` and `tails` are int64 arrays. A link out of range(num_nodes) or
-    a self-loop raises the ValueError of the first such link in input order.
-    """
+def _checked(num_nodes: int, heads, tails):
+    """The keys u*N+v of the links (heads[k], tails[k]), two int64 arrays, after
+    the one range and self-loop test of links from outside this module."""
     if ((heads < 0) | (heads >= num_nodes) | (tails < 0) | (tails >= num_nodes) | (heads == tails)).any():
         _check_links(num_nodes, heads.tolist(), tails.tolist())
-    keys = np.concatenate((heads * num_nodes + tails, tails * num_nodes + heads))
+    return heads * num_nodes + tails
+
+
+def _sorted_keys(num_nodes: int, keys):
+    """The keys u*N+v in `keys`, a list of int64 arrays of keys of valid
+    links in either orientation, and their reversals v*N+u: sorted, repeats
+    kept. One numpy sort puts node u's neighbours in the keys [u*N, (u+1)*N)."""
+    reversals = [k % num_nodes * num_nodes + k // num_nodes for k in keys]
+    keys = np.concatenate([np.empty(0, dtype=np.int64), *keys, *reversals])
     keys.sort()  # np.unique hashes first: 4.4 s against 0.05 s for 5M keys (numpy 2.4)
     return keys
 
@@ -76,19 +81,12 @@ def _sorted_keys(num_nodes: int, heads, tails):
 def _csr_of_keys(num_nodes: int, keys):
     """The CSR pair (bounds, nbrs) of the sorted keys u*N+v, repeats
     dropped: node u's sorted neighbours are nbrs[bounds[u]:bounds[u + 1]]."""
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    fresh = np.ones(keys.size, dtype=bool)  # one byte a key, where np.diff takes 16
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
     bounds = np.searchsorted(keys, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
-    return bounds.astype(np.int64, copy=False), keys % num_nodes
-
-
-def _adjacency(num_nodes: int, heads, tails):
-    """The CSR pair (bounds, nbrs) of the links (heads[k], tails[k]).
-
-    Checked as in _sorted_keys. One sort of all 2L keys drops duplicate and
-    reversed links and puts node u's neighbours in the keys [u*N, (u+1)*N).
-    O(N + L log L), in numpy alone: no Python object per node or link.
-    """
-    return _csr_of_keys(num_nodes, _sorted_keys(num_nodes, heads, tails))
+    keys %= num_nodes  # a copy made by the mask
+    return bounds.astype(np.int64, copy=False), keys
 
 
 def _label_components(n: int, heads, tails):
@@ -152,7 +150,8 @@ class Graph:
     `Graph(N, edges)` takes (u, v) pairs of integer ids in range(N), in any
     order and orientation; duplicate and reversed links collapse to one. A
     non-integer id, an id out of range or a self-loop is a ValueError that
-    names the first such link.
+    names the first such link. Links are checked only where they enter: here,
+    in `with_links` and in `load_edge_list`; generators build valid links.
 
     The links are stored once, as a read-only CSR pair of int64 arrays built
     by one numpy sort of all links: node u's sorted neighbours are
@@ -171,8 +170,13 @@ class Graph:
     def __init__(self, num_nodes: int, edges=()):
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
-        num_nodes = index(num_nodes)
-        self._set_csr(num_nodes, *_adjacency(num_nodes, *_id_arrays(num_nodes, edges)))
+        n = index(num_nodes)
+        self._set_csr(n, *_csr_of_keys(n, _sorted_keys(n, [_checked(n, *_id_arrays(n, edges))])))
+
+    @classmethod
+    def _of_keys(cls, num_nodes: int, keys) -> "Graph":
+        """A graph linking `keys` as in _sorted_keys, unchecked."""
+        return cls._of_csr(num_nodes, *_csr_of_keys(num_nodes, _sorted_keys(num_nodes, keys)))
 
     @classmethod
     def _of_csr(cls, num_nodes: int, bounds, nbrs) -> "Graph":
@@ -204,7 +208,7 @@ class Graph:
         which are sorted already: O(N + L) plus the sort of the added links.
         """
         n = self._n
-        keys = np.concatenate((self._heads() * n + self._nbrs, _sorted_keys(n, *_id_arrays(n, edges))))
+        keys = np.concatenate((self._heads() * n + self._nbrs, _sorted_keys(n, [_checked(n, *_id_arrays(n, edges))])))
         keys.sort(kind="stable")  # two sorted runs: one merge
         return Graph._of_csr(n, *_csr_of_keys(n, keys))
 
@@ -358,8 +362,9 @@ def load_edge_list(text: str) -> Graph:
     A node count above MAX_EDGE_LIST_NODES, named by "# nodes N" or implied
     by an id, is refused before any per-node allocation.
 
-    Text in the form `save_edge_list` writes is read in one numpy scan;
-    any other text, and any error, goes through a per-line loop, which
+    Text in the form `save_edge_list` writes is read in one numpy scan and
+    checked as `Graph(...)` checks links; any other text, and any error,
+    goes through a per-line loop, which checks each link as it reads it and
     names the line of the first bad link in an EdgeListFormatError.
     """
     saved = _SAVED_FORM.fullmatch(text)
@@ -370,11 +375,12 @@ def load_edge_list(text: str) -> Graph:
         # above the node limit, a self-loop or an id of N or more: the loop names the line
         if n <= MAX_EDGE_LIST_NODES:
             try:
-                return Graph._of_csr(n, *_adjacency(n, ids[0::2], ids[1::2]))
+                keys = [_checked(n, ids[0::2], ids[1::2])]
+                del ids  # before the build's peak
+                return Graph._of_keys(n, keys)
             except ValueError:
                 pass
-    edges = []
-    max_id = -1
+    ids = array("q")  # two int64 ids a link, each checked as its line is read
     num_nodes = None  # from a "# nodes N" line
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -383,7 +389,7 @@ def load_edge_list(text: str) -> Graph:
         if stripped.startswith("#"):
             header = _NODES_LINE.fullmatch(stripped)
             if header:
-                if edges or num_nodes is not None:
+                if ids or num_nodes is not None:
                     raise EdgeListFormatError(f"line {lineno}: '# nodes' must come once, before the first link")
                 num_nodes = int(header[1])
                 if num_nodes >> 63:
@@ -412,9 +418,10 @@ def load_edge_list(text: str) -> Graph:
             raise EdgeListFormatError(
                 f"line {lineno}: node id {max(u, v)} needs more nodes than the limit of {MAX_EDGE_LIST_NODES}"
             )
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
-    return Graph(max_id + 1 if num_nodes is None else num_nodes, edges)
+        ids.extend((u, v))
+    ids = np.frombuffer(ids, dtype=np.int64)
+    n = int(ids.max(initial=-1)) + 1 if num_nodes is None else num_nodes
+    return Graph._of_keys(n, [ids[0::2] * n + ids[1::2]])
 
 
 def save_edge_list(graph: Graph) -> str:
@@ -492,12 +499,6 @@ def _block_pairs(first, block_cum, shift, offsets=None):
     return rows, j
 
 
-def _graph_of_keys(num_nodes: int, keys) -> Graph:
-    """Graph linking the pairs divmod(key, N) of `keys`, a list of key arrays."""
-    heads, tails = np.divmod(np.concatenate([np.empty(0, dtype=np.int64)] + keys), num_nodes)
-    return Graph._of_csr(num_nodes, *_adjacency(num_nodes, heads, tails))
-
-
 def generate_er(num_nodes: int, link_probability: float, seed: int) -> Graph:
     """Erdos-Renyi G(N, p_l): every pair linked independently.
 
@@ -516,7 +517,7 @@ def generate_er(num_nodes: int, link_probability: float, seed: int) -> Graph:
     for count, pairs in _row_blocks(np.arange(1, num_nodes + 1), np.full(num_nodes, num_nodes)):
         i, j = pairs(np.flatnonzero(rng.random(count) < link_probability))
         keys.append(i * num_nodes + j)
-    return _graph_of_keys(num_nodes, keys)
+    return Graph._of_keys(num_nodes, keys)
 
 
 def generate_rgg(num_nodes: int, radius: float, seed: int) -> Graph:
@@ -578,10 +579,9 @@ def generate_rgg(num_nodes: int, radius: float, seed: int) -> Graph:
         dy *= dy
         dx += dy
         keep = dx < radius * radius
-        u, v = order[s[keep]], order[t[keep]]
-        return np.minimum(u, v) * num_nodes + np.maximum(u, v)
+        return order[s[keep]] * num_nodes + order[t[keep]]
 
-    return _graph_of_keys(num_nodes, [linked(*pairs()) for run in runs for _, pairs in _row_blocks(*run)])
+    return Graph._of_keys(num_nodes, [linked(*pairs()) for run in runs for _, pairs in _row_blocks(*run)])
 
 
 def generate_ba(num_nodes: int, links_per_step: int, seed: int) -> Graph:
@@ -618,16 +618,16 @@ def generate_ba(num_nodes: int, links_per_step: int, seed: int) -> Graph:
 
 def generate_lattice(dims) -> Graph:
     """Grid graph in 2 or 3 dimensions with nearest-neighbor links, no wrap."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(index, dims))
     if len(dims) not in (2, 3):
         raise ValueError("lattice takes 2 or 3 dimensions")
     if any(d < 1 for d in dims):
         raise ValueError("lattice dimensions must be positive")
-    ids = np.arange(np.prod(dims), dtype=np.int64).reshape(dims)
-    # each node to its successor along each axis
-    heads = np.concatenate([ids.take(range(d - 1), axis=axis).ravel() for axis, d in enumerate(dims)])
-    tails = np.concatenate([ids.take(range(1, d), axis=axis).ravel() for axis, d in enumerate(dims)])
-    return Graph._of_csr(ids.size, *_adjacency(ids.size, heads, tails))
+    n = math.prod(dims)
+    ids = np.arange(n, dtype=np.int64).reshape(dims)
+    # each node u to its successor u + stride along each axis: key u*n + u + stride
+    return Graph._of_keys(n, [ids.take(range(d - 1), axis=axis).ravel() * (n + 1) + math.prod(dims[axis + 1:])
+                              for axis, d in enumerate(dims)])
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +637,19 @@ def generate_lattice(dims) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    n = index(n)
+    # the keys i*n + j of the pairs i < j: the entries above the diagonal of an n-by-n array
+    return Graph._of_keys(n, [np.flatnonzero(~np.tri(n, dtype=bool))])
 
 
 def complete_pendant_graph(n: int) -> Graph:
     """K_{n-1} plus one pendant node attached to clique node 0."""
     if n < 3:
         raise ValueError("complete-plus-pendant needs n >= 3")
-    edges = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)]
-    edges.append((0, n - 1))
-    return Graph(n, edges)
+    n = index(n)
+    upper = ~np.tri(n, dtype=bool)  # the pairs i < j, as in complete_graph
+    upper[1:, -1] = False  # node n-1 keeps only its link to node 0
+    return Graph._of_keys(n, [np.flatnonzero(upper)])
 
 
 def cycle_graph(n: int) -> Graph:

@@ -184,7 +184,7 @@ class TestAdjacencyBuilder:
         assert Graph(n, [(np.int64(u), np.uint16(v)) for u, v in mixed]).adjacency == expected
         heads = np.array([u for u, _ in mixed], dtype=np.int64)
         tails = np.array([v for _, v in mixed], dtype=np.int64)
-        bounds, nbrs = graph_module._adjacency(n, heads, tails)
+        bounds, nbrs = graph_module._csr_of_keys(n, graph_module._sorted_keys(n, [heads * n + tails]))
         assert bounds.dtype == nbrs.dtype == np.int64 and bounds.shape == (n + 1,)
         assert tuple(tuple(nbrs[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:])) == expected
         # every reader of the arrays agrees with the oracle's tuples
@@ -655,6 +655,16 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_lattice((2, 2, 2, 2))
 
+    @pytest.mark.parametrize("dims", [(2.5, 3), ("3", 4), (3, np.float64(4.0))], ids=["float", "str", "numpy-float"])
+    def test_lattice_dimensions_must_be_integers(self, dims):
+        # int() would make a 2x3 lattice of (2.5, 3) and a 3x4 one of ("3", 4)
+        with pytest.raises(TypeError):
+            generate_lattice(dims)
+
+    def test_lattice_takes_numpy_integer_dimensions(self):
+        g = generate_lattice((np.int64(3), 4))
+        assert g == generate_lattice((3, 4)) and type(g.num_nodes) is int
+
     def test_generators_yield_simple_graphs(self):
         for g in (
             generate_er(30, 0.3, 1),
@@ -980,3 +990,79 @@ class TestRefusals:
         # not the saved form, so the per-line loop reads it
         g = load_edge_list("0 1\n\n  \n1 2\n")
         assert g.edges() == [(0, 1), (1, 2)]
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of graph_module.<name>, which still does its work."""
+    calls = []
+    real = getattr(graph_module, name)
+    monkeypatch.setattr(graph_module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestLinksCheckedWhereTheyEnter:
+    """_checked, the one range and self-loop test, runs once on links from
+    outside the module and never on links the module builds itself."""
+
+    @pytest.mark.parametrize("build, checks", [
+        (lambda: Graph(5, [(0, 1), (3, 2), (1, 0)]), 1),
+        (lambda: Graph(4), 1),
+        (lambda: cycle_graph(5).with_links([(0, 2), (4, 1)]), 2),  # the cycle, then the added links
+        (lambda: load_edge_list("# nodes 6\n0 1\n2 5\n"), 1),
+        (lambda: load_edge_list(save_edge_list(generate_er(50, 0.1, 3))), 1),
+        (lambda: generate_er(300, 0.05, 1), 0),
+        (lambda: generate_rgg(300, 0.1, 1), 0),
+        (lambda: generate_lattice((4, 5, 6)), 0),
+        (lambda: complete_graph(30), 0),
+        (lambda: graph_module.complete_pendant_graph(30), 0),
+        (lambda: load_edge_list("# comment\n0 1\n2 5\n"), 0),
+        (lambda: load_edge_list("# comment\n" + save_edge_list(generate_er(50, 0.1, 3))), 0),
+    ], ids=["graph", "graph-no-links", "with-links", "saved-form-header", "saved-form", "er", "rgg", "lattice",
+            "complete", "complete-pendant", "per-line", "per-line-saved"])
+    def test_checked_once_per_entry(self, monkeypatch, build, checks):
+        calls = _counting(monkeypatch, "_checked")
+        build()
+        assert len(calls) == checks
+
+    def test_per_line_parse_builds_from_ids(self, monkeypatch):
+        # the loop has refused every bad line already: no Graph(...) round trip
+        g = generate_rgg(200, 0.15, 8)
+        text = "# comment\n" + save_edge_list(g)
+        calls = _counting(monkeypatch, "_id_arrays")
+        assert load_edge_list(text) == g and not calls
+
+    @pytest.mark.parametrize("builder", [builder for builder, _, _ in FAMILIES.values()], ids=list(FAMILIES))
+    def test_families_refuse_float_sizes(self, builder):
+        with pytest.raises(TypeError):
+            builder(5.0)
+        with pytest.raises(TypeError):
+            builder(np.float64(9.0))
+        g = builder(np.int64(9))
+        assert g == builder(9) and type(g.num_nodes) is int and g._nbrs.dtype == np.int64
+
+    def test_complete_families_equal_to_set_oracle(self):
+        n = 40
+        pairs = list(itertools.combinations(range(n), 2))
+        assert complete_graph(n) == set_graph(n, pairs)
+        pendant = [(i, j) for i, j in pairs if j < n - 1] + [(0, n - 1)]
+        assert graph_module.complete_pendant_graph(n) == set_graph(n, pendant)
+        for builder, low, links in FAMILIES.values():
+            assert builder(n).num_links == links(n) and builder(low).num_links == links(low)
+
+    @pytest.mark.parametrize("build, limit", [
+        (lambda: generate_rgg(100000, 0.0078, 1), 60),
+        (lambda: generate_lattice((1000, 1000)), 100),
+        (lambda: complete_graph(1500), 60),
+    ], ids=["rgg:100000,0.0078", "lattice:1000x1000", "complete:1500"])
+    def test_builds_trace_little_memory(self, build, limit):
+        # traced peaks in MiB: 50.2, 87.7 and 45.0 here; checking every link,
+        # divmodding the generators' keys back into ends, building the
+        # families from lists of tuples and dropping repeats through np.diff
+        # traced 77.4, 129.6 and 171.1
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20, peak / 2**20
